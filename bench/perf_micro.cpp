@@ -4,7 +4,8 @@
 // analysis-algorithm scaling on synthetic layered systems.
 //
 // With --fastpath-json=PATH the binary skips the benchmark registry and
-// instead times one paired permeability campaign — scalar fast path vs
+// instead times one paired permeability campaign through the in-memory
+// campaign executor (the driver `estimate` runs) — scalar fast path vs
 // --no-fastpath — writing a machine-readable comparison (ticks/s, runs/s,
 // pruned %, speedup) to PATH. Scale with EPEA_CASES / EPEA_TIMES.
 //
@@ -55,7 +56,6 @@
 #include "epic/paths.hpp"
 #include "exp/arrestment_experiments.hpp"
 #include "exp/paper_data.hpp"
-#include "exp/parallel.hpp"
 #include "fi/fastpath.hpp"
 #include "fi/golden.hpp"
 #include "obs/manifest.hpp"
@@ -248,9 +248,9 @@ FastpathTiming time_permeability_campaign(
     options.use_batch = batch;
     FastpathTiming t;
     options.fastpath_out = &t.stats;
+    static const model::SystemModel system = target::make_arrestment_model();
     const auto t0 = std::chrono::steady_clock::now();
-    const epic::PermeabilityMatrix pm =
-        exp::estimate_arrestment_permeability_parallel(options);
+    const epic::PermeabilityMatrix pm = campaign::estimate_permeability(system, options);
     const auto t1 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(&pm);
     t.wall_s = std::chrono::duration<double>(t1 - t0).count();

@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <iostream>
 
+#include "campaign/executor.hpp"
 #include "epic/measures.hpp"
 #include "epic/placement.hpp"
 #include "exp/arrestment_experiments.hpp"
-#include "exp/parallel.hpp"
 #include "exp/paper_data.hpp"
 #include "util/table.hpp"
 
@@ -55,7 +55,7 @@ int main() {
     std::printf("Running permeability campaign (%zu cases x %zu times/bit)...\n",
                 options.case_count, options.times_per_bit);
     const epic::PermeabilityMatrix measured =
-        exp::estimate_arrestment_permeability_parallel(options);
+        campaign::estimate_permeability(system, options);
     print_report(system, measured, "Table 2 (from the measured matrix)");
 
     // PA-set summary.

@@ -19,12 +19,17 @@
 #include "campaign/spec.hpp"
 #include "epic/matrix.hpp"
 #include "exp/recovery.hpp"
+#include "fi/case_runner.hpp"
 #include "fi/fastpath.hpp"
 #include "obs/timeline.hpp"
 
 namespace epea::campaign {
 
-struct ExecutorOptions {
+/// The inherited ExecPolicy says how each shard's runs execute. A shared
+/// golden_cache (thread-safe) serves the whole worker pool and survives
+/// across run() calls; null gives every case's drivers a private one,
+/// freed with the case (each case belongs to exactly one shard).
+struct ExecutorOptions : fi::ExecPolicy {
     /// Worker threads; each worker owns a private ArrestmentSystem.
     /// 0 = auto: one per hardware thread, clamped by the pending shard
     /// count (and max_shards).
@@ -34,20 +39,6 @@ struct ExecutorOptions {
     std::size_t max_shards = std::numeric_limits<std::size_t>::max();
     /// Mirror journal events to stderr.
     bool echo_events = false;
-    /// Fast path (DESIGN.md §9): fork injection runs from golden boundary
-    /// snapshots and prune on state re-convergence. Merged campaign
-    /// results are bit-identical either way; off = reference oracle.
-    bool use_fastpath = true;
-    /// Batched execution (DESIGN.md §14): run one-shot injection plans as
-    /// lockstep SoA lane batches inside each shard. Merged results stay
-    /// bit-identical; off = scalar fast path.
-    bool use_batch = true;
-    /// Lanes per lockstep batch; 0 picks the auto width.
-    std::size_t batch_width = 0;
-    /// Shared golden cache (e.g. the opt:: evaluator's, for cross-batch
-    /// reuse); null uses a cache private to this run() call. The cache is
-    /// mutex-protected and shared across the worker pool.
-    fi::GoldenCache* golden_cache = nullptr;
     /// Flight-recorder cadence (DESIGN.md §15): every interval the
     /// sampler thread appends one per-worker snapshot to
     /// `timeline.jsonl` in the campaign dir. 0 disables the sampler.
@@ -61,7 +52,9 @@ class CampaignExecutor {
 public:
     /// Creates (or resumes) the campaign in `dir`. Writes spec.json when
     /// absent; when present, the stored spec must serialize identically
-    /// to `spec` (resuming under a different spec throws).
+    /// to `spec` (resuming under a different spec throws). An empty `dir`
+    /// runs the campaign in memory: the same pool and shards, no spec,
+    /// checkpoint, journal or timeline files.
     CampaignExecutor(std::string dir, CampaignSpec spec);
 
     /// Resumes from an existing campaign directory's spec.json.
@@ -69,7 +62,14 @@ public:
 
     /// Executes pending shards. Returns true when the campaign is
     /// finished (every shard done, or adaptive stopping converged);
-    /// false when paused by max_shards with work remaining.
+    /// false when paused by max_shards with work remaining. Throws what
+    /// a worker throws, after the pool has stopped.
+    ///
+    /// Adaptive campaigns decide convergence over the contiguous prefix
+    /// of completed shards in index order, so the stop point does not
+    /// depend on which worker finishes first. Shards past it are
+    /// cancelled mid-run, neither checkpointed nor merged, and their
+    /// planned runs count as saved.
     bool run(const ExecutorOptions& options = {});
 
     [[nodiscard]] const CampaignSpec& spec() const { return spec_; }
@@ -97,10 +97,10 @@ public:
 private:
     [[nodiscard]] ShardResult run_shard(std::size_t shard,
                                         const ExecutorOptions& options,
-                                        fi::GoldenCache& cache,
                                         obs::WorkerProgress* progress) const;
     void load_checkpoints(CampaignObserver& observer);
     [[nodiscard]] exp::CampaignOptions case_options(std::size_t case_id) const;
+    [[nodiscard]] bool in_memory() const noexcept { return dir_.empty(); }
 
     std::string dir_;
     CampaignSpec spec_;
@@ -109,5 +109,14 @@ private:
     std::uint64_t saved_runs_ = 0;
     PhaseTimers timers_;
 };
+
+/// The permeability campaign `options` sizes (case window, times per bit,
+/// tick budget, seed, module filter), run in memory with one case per
+/// shard over `threads` workers (0 = auto) under the options' ExecPolicy.
+/// Bit-identical to exp::estimate_arrestment_permeability for any thread
+/// count; fast-path counters go to options.fastpath_out when set.
+[[nodiscard]] epic::PermeabilityMatrix estimate_permeability(
+    const model::SystemModel& system, const exp::CampaignOptions& options,
+    std::size_t threads = 0);
 
 }  // namespace epea::campaign

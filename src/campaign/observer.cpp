@@ -37,6 +37,7 @@ std::string PhaseTimers::summary() const {
 
 CampaignObserver::CampaignObserver(const std::string& dir, bool echo_stderr)
     : echo_(echo_stderr) {
+    if (dir.empty()) return;  // null observer
     out_.open(dir + "/events.jsonl", std::ios::app);
     if (!out_) throw std::runtime_error("cannot open " + dir + "/events.jsonl");
 }

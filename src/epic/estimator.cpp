@@ -1,9 +1,6 @@
 #include "epic/estimator.hpp"
 
 #include "obs/trace.hpp"
-
-#include "fi/batch.hpp"
-#include "fi/golden.hpp"
 #include "util/rng.hpp"
 
 namespace epea::epic {
@@ -44,13 +41,7 @@ PermeabilityMatrix PermeabilityEstimator::estimate(
     }
     const std::size_t total_runs = case_count * total_bits * options.times_per_bit;
 
-    fi::GoldenCache local_cache;
-    fi::GoldenCache* cache = options.golden_cache ? options.golden_cache : &local_cache;
-    fi::InjectionRunner runner(*sim_, *injector_);
-    runner.set_enabled(options.use_fastpath);
-    fi::BatchRunner batch(*sim_);
-    batch.set_mode(fi::BatchRunner::Mode::kPermeability);
-    batch.set_width(options.batch_width);
+    fi::CaseRunner front(*sim_, *injector_, options, fi::CaseRunner::Mode::kPermeability);
 
     // Attribution seals, one per (module, injected port): the tally
     // below reads only the module's output first-diffs and — under
@@ -71,47 +62,48 @@ PermeabilityMatrix PermeabilityEstimator::estimate(
                 }
             }
             rule.all_of = spec.outputs;
-            seals[mid.index()][port] = batch.add_seal_rule(std::move(rule));
+            seals[mid.index()][port] = front.add_seal_rule(std::move(rule));
         }
     }
 
-    // Tally record for the batched path: outcomes are consumed strictly
-    // in submission order, reproducing the scalar accumulation order.
-    struct Tally {
+    // The injected (module, port) of each submitted run, by submission
+    // index; outcomes are tallied in that order on every path.
+    struct Target {
         model::ModuleId mid;
         std::uint32_t port = 0;
-        std::size_t ticket = 0;
     };
-    std::vector<Tally> tallies;
+    std::vector<Target> targets;
+    const auto tally = [&](std::size_t i, const fi::BatchOutcome& oc) {
+        ++runs_;
+        if (progress) progress(runs_, total_runs);
+        if (!oc.fired) return;  // inactive
+
+        const Target& tg = targets[i];
+        const auto& spec = system.module(tg.mid);
+        const fi::DirectOutcome outcome =
+            fi::attribute_direct(system, tg.mid, tg.port, oc.first_diff);
+        for (std::uint32_t k = 0; k < spec.output_count(); ++k) {
+            Count& cnt = counts[tg.mid.index()][tg.port * spec.output_count() + k];
+            ++cnt.active;
+            const bool hit = options.direct_attribution
+                                 ? outcome.affected[k]
+                                 : outcome.first_diff[k] != runtime::kInvalidTick;
+            if (hit) ++cnt.affected;
+        }
+    };
 
     runs_ = 0;
-    fastpath_ = {};
     for (std::size_t c = 0; c < case_count; ++c) {
         obs::Span case_span("epic.case", options.case_index_offset + c);
         std::uint64_t stream = options.seed + options.case_index_offset + c;
         util::Rng time_rng(util::splitmix64(stream));
         configure_case(c);
         injector_->disarm();
-        // Golden run from the shared cache; with the fast path on, the
-        // entry also carries per-tick boundary snapshots ("perm" context:
-        // no monitors armed during permeability estimation).
-        const bool fast = options.use_fastpath && sim_->snapshot_supported();
-        const std::size_t case_key = options.case_index_offset + c;
-        const auto golden = cache->get_or_capture(
-            fi::golden_key(fast ? "perm" : "trace", case_key),
-            [&] { return fi::capture_golden_data(*sim_, options.max_ticks, fast); },
-            &fastpath_);
-        runner.set_golden(fast ? golden : nullptr);
-        batch.set_golden(fast ? golden : nullptr);
-        const fi::GoldenRun& gr = golden->run;
-
-        // Batched execution: phase 1 submits every plan of the case (the
-        // stratified time draws happen in the identical order), phase 2
-        // runs them as lockstep lane batches, phase 3 tallies outcomes in
-        // submission order — bit-identical to the scalar loop.
-        const bool batched = options.use_batch && fast && batch.ready(options.max_ticks);
-        batch.clear();
-        tallies.clear();
+        // "perm" context: no monitors armed during permeability estimation.
+        const auto golden =
+            front.golden("perm", options.case_index_offset + c, options.max_ticks);
+        front.begin_case(golden, options.max_ticks);
+        targets.clear();
 
         for (const model::ModuleId mid : system.all_modules()) {
             const auto& spec = system.module(mid);
@@ -119,67 +111,21 @@ PermeabilityMatrix PermeabilityEstimator::estimate(
                 const unsigned width = system.signal(spec.inputs[port]).width;
                 for (unsigned bit = 0; bit < width; ++bit) {
                     const auto ticks = fi::spread_ticks(
-                        0, gr.length, options.times_per_bit,
+                        0, golden->run.length, options.times_per_bit,
                         options.stratified_times ? &time_rng : nullptr);
                     if (!included[mid.index()]) continue;  // draws consumed above
                     for (const runtime::Tick t : ticks) {
-                        if (batched) {
-                            tallies.push_back(
-                                {mid, port,
-                                 batch.submit(
-                                     fi::Injection::into_module_input(mid, port, bit, t),
-                                     seals[mid.index()][port])});
-                            continue;
-                        }
-                        runner.run({fi::Injection::into_module_input(mid, port, bit, t)},
-                                   options.max_ticks);
-                        ++runs_;
-                        if (progress) progress(runs_, total_runs);
-                        if (injector_->fired_count() == 0) continue;  // inactive
-
-                        const fi::DirectOutcome outcome = fi::attribute_direct(
-                            system, gr, *sim_->trace(), mid, port);
-                        for (std::uint32_t k = 0; k < spec.output_count(); ++k) {
-                            Count& cnt =
-                                counts[mid.index()][port * spec.output_count() + k];
-                            ++cnt.active;
-                            const bool hit =
-                                options.direct_attribution
-                                    ? outcome.affected[k]
-                                    : outcome.first_diff[k] != runtime::kInvalidTick;
-                            if (hit) ++cnt.affected;
-                        }
+                        targets.push_back({mid, port});
+                        front.submit({fi::Injection::into_module_input(mid, port, bit, t)},
+                                     1, seals[mid.index()][port]);
                     }
                 }
             }
         }
-
-        if (batched) {
-            batch.flush();
-            for (const Tally& tl : tallies) {
-                ++runs_;
-                if (progress) progress(runs_, total_runs);
-                const fi::BatchOutcome& oc = batch.outcome(tl.ticket);
-                if (!oc.fired) continue;  // inactive
-
-                const auto& spec = system.module(tl.mid);
-                const fi::DirectOutcome outcome = fi::attribute_direct_from_first_diff(
-                    system, tl.mid, tl.port, oc.first_diff);
-                for (std::uint32_t k = 0; k < spec.output_count(); ++k) {
-                    Count& cnt =
-                        counts[tl.mid.index()][tl.port * spec.output_count() + k];
-                    ++cnt.active;
-                    const bool hit = options.direct_attribution
-                                         ? outcome.affected[k]
-                                         : outcome.first_diff[k] != runtime::kInvalidTick;
-                    if (hit) ++cnt.affected;
-                }
-            }
-        }
+        front.flush(tally);
     }
     injector_->disarm();
-    fastpath_.merge(runner.stats());
-    fastpath_.merge(batch.stats());
+    fastpath_ = front.stats();
 
     PermeabilityMatrix pm(system);
     for (const model::ModuleId mid : system.all_modules()) {

@@ -8,6 +8,7 @@
 #include <functional>
 
 #include "epic/matrix.hpp"
+#include "fi/case_runner.hpp"
 #include "fi/comparison.hpp"
 #include "fi/fastpath.hpp"
 #include "fi/injector.hpp"
@@ -15,7 +16,9 @@
 
 namespace epea::epic {
 
-struct EstimatorOptions {
+/// Sizing and ablations of one estimate; the inherited ExecPolicy says
+/// how its runs execute (bit-identical results under every policy).
+struct EstimatorOptions : fi::ExecPolicy {
     /// Injection moments per (input port, bit), stratified-randomly
     /// spread over the golden run of each test case.
     std::size_t times_per_bit = 10;
@@ -34,19 +37,6 @@ struct EstimatorOptions {
     ///   stratum midpoints are used (exposes alignment artifacts between
     ///   injection times and run-fraction-locked events).
     bool stratified_times = true;
-    /// Fast path (DESIGN.md §9): fork injection runs from golden boundary
-    /// snapshots and prune on state re-convergence. Bit-identical results;
-    /// disable to use the slow path as the reference oracle.
-    bool use_fastpath = true;
-    /// Batched execution (DESIGN.md §14): route the one-shot injection
-    /// plans of a case through the SoA batch kernel, advancing lanes in
-    /// lockstep. Requires the fast path; bit-identical results.
-    bool use_batch = true;
-    /// Lanes per lockstep batch; 0 picks the auto width.
-    std::size_t batch_width = 0;
-    /// Shared golden-run cache (campaign executors pass theirs so golden
-    /// data is captured once per case); null uses a private per-call cache.
-    fi::GoldenCache* golden_cache = nullptr;
     /// Delta campaigns: when non-empty, only the named modules are
     /// injected. The stratified time draws of skipped modules are still
     /// consumed from the per-case stream, so the filtered run's results

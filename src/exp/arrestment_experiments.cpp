@@ -4,8 +4,6 @@
 #include <cstdlib>
 
 #include "ea/calibrate.hpp"
-#include "fi/batch.hpp"
-#include "fi/fastpath.hpp"
 #include "fi/golden.hpp"
 #include "fi/injector.hpp"
 #include "obs/trace.hpp"
@@ -22,16 +20,24 @@ std::size_t env_size(const char* name, std::size_t fallback) {
     return fallback;
 }
 
-/// Bare (trace-only) golden run for case `c` from the shared cache — the
-/// capture every driver used to repeat per experiment, hoisted into one
-/// cached entry. Monitors never alter signals, so the fault-free trace is
-/// context-free and shareable across drivers.
-std::shared_ptr<const fi::GoldenCaseData> cached_bare_golden(
-    fi::GoldenCache& cache, target::ArrestmentSystem& sys, std::size_t c,
-    runtime::Tick max_ticks, fi::FastPathStats& stats) {
-    return cache.get_or_capture(
-        fi::golden_key("trace", c),
-        [&] { return fi::capture_golden_data(sys.sim(), max_ticks, false); }, &stats);
+/// Builds, arms and resolves the subsets of the EA1..EA7 bank from the
+/// first case's golden trace; recalibrates it for every later case.
+void calibrate_case_bank(ea::EaBank& bank,
+                         std::vector<std::vector<std::size_t>>& subset_indices,
+                         target::ArrestmentSystem& sys, const runtime::Trace& golden,
+                         const ea::CalibrationMargins& margins,
+                         const std::vector<SubsetSpec>& subsets) {
+    if (bank.size() != 0) {
+        recalibrate_bank(bank, sys.system(), golden, margins);
+        return;
+    }
+    bank = make_calibrated_bank(sys.system(), {golden}, margins);
+    bank.arm(sys.sim());
+    for (const auto& s : subsets) {
+        std::vector<std::size_t> idx;
+        for (const auto& n : s.ea_names) idx.push_back(bank.index_of(n));
+        subset_indices.push_back(std::move(idx));
+    }
 }
 
 }  // namespace
@@ -86,14 +92,11 @@ epic::PermeabilityMatrix estimate_arrestment_permeability(
     fi::Injector injector(sys.sim());
     epic::PermeabilityEstimator estimator(sys.sim(), injector);
     epic::EstimatorOptions eopt;
+    static_cast<fi::ExecPolicy&>(eopt) = options;
     eopt.times_per_bit = options.times_per_bit;
     eopt.max_ticks = options.max_ticks;
     eopt.seed = options.seed;
     eopt.case_index_offset = options.case_first;
-    eopt.use_fastpath = options.use_fastpath;
-    eopt.use_batch = options.use_batch;
-    eopt.batch_width = options.batch_width;
-    eopt.golden_cache = options.golden_cache;
     eopt.module_filter = options.module_filter;
     epic::PermeabilityMatrix pm = estimator.estimate(
         case_count,
@@ -137,25 +140,50 @@ InputCoverageResult input_coverage_experiment(target::ArrestmentSystem& sys,
     ea::EaBank bank;
     std::vector<std::vector<std::size_t>> subset_indices;
 
-    fi::GoldenCache local_cache;
-    fi::GoldenCache& cache =
-        options.campaign.golden_cache ? *options.campaign.golden_cache : local_cache;
-    fi::FastPathStats stats;
-    fi::InjectionRunner runner(sys.sim(), injector);
-    runner.set_enabled(options.campaign.use_fastpath);
-    fi::BatchRunner batchrun(sys.sim());
-    batchrun.set_mode(fi::BatchRunner::Mode::kCoverage);
-    batchrun.set_width(options.campaign.batch_width);
+    fi::CaseRunner front(sys.sim(), injector, options.campaign,
+                         fi::CaseRunner::Mode::kCoverage);
 
-    // Batched path bookkeeping: outcomes are tallied in submission order,
-    // reproducing the scalar accumulation order bit-for-bit (the latency
-    // stats are running sums, so order matters).
-    struct Tally {
+    // Row and injection tick of each submitted run, by submission index:
+    // outcomes are tallied in that order on every path, which keeps the
+    // latency running sums bit-identical.
+    struct Target {
         std::size_t row = 0;
         runtime::Tick t = 0;
-        std::size_t ticket = 0;
     };
-    std::vector<Tally> tallies;
+    std::vector<Target> targets;
+    const auto tally = [&](std::size_t i, const fi::BatchOutcome& oc) {
+        auto& row = result.rows[targets[i].row];
+        ++row.injected;
+        ++result.all.injected;
+        if (!oc.fired) return;  // inactive
+        ++row.active;
+        ++result.all.active;
+
+        bool any = false;
+        runtime::Tick earliest = runtime::kInvalidTick;
+        for (std::size_t e = 0; e < bank.size(); ++e) {
+            if (!bank.at(e).triggered()) continue;
+            ++row.detected_per_ea[e];
+            ++result.all.detected_per_ea[e];
+            earliest = std::min(earliest, bank.at(e).first_detection());
+            any = true;
+        }
+        if (any) {
+            ++row.detected_any;
+            ++result.all.detected_any;
+            if (earliest >= targets[i].t) {
+                const auto lat = static_cast<double>(earliest - targets[i].t);
+                row.latency.add(lat);
+                result.all.latency.add(lat);
+            }
+        }
+        for (std::size_t s = 0; s < subsets.size(); ++s) {
+            if (bank.any_triggered(subset_indices[s])) {
+                ++row.detected_per_subset[s];
+                ++result.all.detected_per_subset[s];
+            }
+        }
+    };
 
     for (std::size_t c = case_first; c < case_first + case_count; ++c) {
         // Injection-time stream keyed by the *global* case index (like the
@@ -165,42 +193,18 @@ InputCoverageResult input_coverage_experiment(target::ArrestmentSystem& sys,
         util::Rng time_rng(0xc0ffeeULL + static_cast<std::uint64_t>(c) * 0x9e3779b9ULL);
         sys.configure(cases[c]);
         injector.disarm();
-        const auto bare =
-            cached_bare_golden(cache, sys, c, options.campaign.max_ticks, stats);
+        const auto bare = front.golden("trace", c, options.campaign.max_ticks);
         const fi::GoldenRun& gr = bare->run;
 
-        if (c == case_first) {
-            std::vector<runtime::Trace> traces{gr.trace};
-            bank = make_calibrated_bank(system, traces, options.campaign.ea_margins);
-            bank.arm(sys.sim());
-            for (const auto& s : subsets) {
-                std::vector<std::size_t> idx;
-                for (const auto& n : s.ea_names) idx.push_back(bank.index_of(n));
-                subset_indices.push_back(std::move(idx));
-            }
-        } else {
-            recalibrate_bank(bank, system, gr.trace, options.campaign.ea_margins);
-        }
+        calibrate_case_bank(bank, subset_indices, sys, gr.trace, options.campaign.ea_margins, subsets);
 
         // Snapshot golden for forking/pruning, captured under the armed,
         // freshly calibrated bank — monitor state is part of the snapshot,
         // so the capture context must match the injection runs exactly.
-        std::shared_ptr<const fi::GoldenCaseData> full;
-        if (runner.enabled() && sys.sim().snapshot_supported()) {
-            full = cache.get_or_capture(
-                fi::golden_key("input", c),
-                [&] {
-                    return fi::capture_golden_data(sys.sim(), options.campaign.max_ticks,
-                                                   true);
-                },
-                &stats);
-        }
-        runner.set_golden(full);
-        batchrun.set_golden(full);
-        const bool batched = options.campaign.use_batch && full != nullptr &&
-                             batchrun.ready(options.campaign.max_ticks);
-        batchrun.clear();
-        tallies.clear();
+        front.begin_case(
+            front.fast() ? front.golden("input", c, options.campaign.max_ticks) : nullptr,
+            options.campaign.max_ticks);
+        targets.clear();
 
         // Injection moments deliberately overshoot the golden-run length
         // slightly so a realistic share of injections lands after the
@@ -216,100 +220,15 @@ InputCoverageResult input_coverage_experiment(target::ArrestmentSystem& sys,
                 const auto ticks = fi::spread_ticks(
                     0, window_end, options.campaign.times_per_bit, &time_rng);
                 for (const runtime::Tick t : ticks) {
-                    if (batched) {
-                        tallies.push_back(
-                            {r, t,
-                             batchrun.submit(fi::Injection::into_signal(sid, bit, t))});
-                        continue;
-                    }
-                    runner.run({fi::Injection::into_signal(sid, bit, t)},
-                               options.campaign.max_ticks);
-
-                    auto& row = result.rows[r];
-                    ++row.injected;
-                    ++result.all.injected;
-                    if (injector.fired_count() == 0) continue;  // inactive
-                    ++row.active;
-                    ++result.all.active;
-
-                    bool any = false;
-                    runtime::Tick earliest = runtime::kInvalidTick;
-                    for (std::size_t e = 0; e < bank.size(); ++e) {
-                        if (!bank.at(e).triggered()) continue;
-                        ++row.detected_per_ea[e];
-                        ++result.all.detected_per_ea[e];
-                        earliest = std::min(earliest, bank.at(e).first_detection());
-                        any = true;
-                    }
-                    if (any) {
-                        ++row.detected_any;
-                        ++result.all.detected_any;
-                        if (earliest >= t) {
-                            const auto lat = static_cast<double>(earliest - t);
-                            row.latency.add(lat);
-                            result.all.latency.add(lat);
-                        }
-                    }
-                    for (std::size_t s = 0; s < subsets.size(); ++s) {
-                        if (bank.any_triggered(subset_indices[s])) {
-                            ++row.detected_per_subset[s];
-                            ++result.all.detected_per_subset[s];
-                        }
-                    }
+                    targets.push_back({r, t});
+                    front.submit({fi::Injection::into_signal(sid, bit, t)});
                 }
             }
         }
-
-        if (batched) {
-            batchrun.flush();
-            for (const Tally& tl : tallies) {
-                const fi::BatchOutcome& oc = batchrun.outcome(tl.ticket);
-                auto& row = result.rows[tl.row];
-                ++row.injected;
-                ++result.all.injected;
-                if (!oc.fired) continue;  // inactive
-                ++row.active;
-                ++result.all.active;
-
-                // Rehydrate the bank's detection state from the lane's
-                // monitor words (the sim's monitor order IS the bank's arm
-                // order); the scalar queries below then apply unchanged.
-                runtime::StateReader monitors(oc.monitors);
-                for (std::size_t e = 0; e < bank.size(); ++e) {
-                    bank.at(e).restore_state(monitors);
-                }
-
-                bool any = false;
-                runtime::Tick earliest = runtime::kInvalidTick;
-                for (std::size_t e = 0; e < bank.size(); ++e) {
-                    if (!bank.at(e).triggered()) continue;
-                    ++row.detected_per_ea[e];
-                    ++result.all.detected_per_ea[e];
-                    earliest = std::min(earliest, bank.at(e).first_detection());
-                    any = true;
-                }
-                if (any) {
-                    ++row.detected_any;
-                    ++result.all.detected_any;
-                    if (earliest >= tl.t) {
-                        const auto lat = static_cast<double>(earliest - tl.t);
-                        row.latency.add(lat);
-                        result.all.latency.add(lat);
-                    }
-                }
-                for (std::size_t s = 0; s < subsets.size(); ++s) {
-                    if (bank.any_triggered(subset_indices[s])) {
-                        ++row.detected_per_subset[s];
-                        ++result.all.detected_per_subset[s];
-                    }
-                }
-            }
-        }
+        front.flush(tally);
     }
     sys.sim().clear_monitors();
-    stats.merge(runner.stats());
-    stats.merge(batchrun.stats());
-    if (options.campaign.fastpath_out) options.campaign.fastpath_out->merge(stats);
+    if (options.campaign.fastpath_out) options.campaign.fastpath_out->merge(front.stats());
     return result;
 }
 
@@ -317,7 +236,6 @@ SevereCoverageResult severe_coverage_experiment(target::ArrestmentSystem& sys,
                                                 const CampaignOptions& options,
                                                 const std::vector<SubsetSpec>& subsets) {
     obs::Span span("exp.severe");
-    const auto& system = sys.system();
     const auto cases = target::standard_test_cases();
     const std::size_t case_first = std::min(options.case_first, cases.size());
     const std::size_t case_count =
@@ -338,18 +256,33 @@ SevereCoverageResult severe_coverage_experiment(target::ArrestmentSystem& sys,
 
     const std::size_t word_count = sys.sim().memory().word_count();
 
-    fi::GoldenCache local_cache;
-    fi::GoldenCache& cache =
-        options.golden_cache ? *options.golden_cache : local_cache;
-    fi::FastPathStats stats;
-    fi::InjectionRunner runner(sys.sim(), injector);
-    runner.set_enabled(options.use_fastpath);
     // Periodic plans re-perturb the state every `severe_period` ticks, so
     // convergence pruning is unsound and forking to tick 10 saves almost
     // nothing against the cost of capturing boundary snapshots: the severe
-    // model stays on the slow path (DESIGN.md §9), but the golden trace for
-    // EA calibration still comes from the shared cache.
-    runner.set_golden(nullptr);
+    // model runs on the reference slow path (DESIGN.md §9), and only the
+    // golden trace for EA calibration comes from the shared cache.
+    fi::CaseRunner front(sys.sim(), injector, options, fi::CaseRunner::Mode::kCoverage);
+    const auto tally = [&](std::size_t w, const fi::BatchOutcome&) {
+        const runtime::Region region = sys.sim().memory().word(w).region;
+        const std::size_t region_idx = region == runtime::Region::kRam ? 0 : 1;
+        ++result.runs;
+
+        const bool failed = sys.plant().failure_report().failed();
+        if (failed) ++result.failures;
+        const std::size_t class_idx = failed ? 1 : 2;
+
+        for (std::size_t s = 0; s < subsets.size(); ++s) {
+            const bool det = bank.any_triggered(subset_indices[s]);
+            auto& set = result.sets[s];
+            for (const std::size_t region_slot : {region_idx, std::size_t{2}}) {
+                for (const std::size_t class_slot : {std::size_t{0}, class_idx}) {
+                    auto& cell = set.cells[region_slot][class_slot];
+                    ++cell.n;
+                    if (det) ++cell.detected;
+                }
+            }
+        }
+    };
 
     for (std::size_t c = case_first; c < case_first + case_count; ++c) {
         // Injection streams keyed by the global case index: running any
@@ -357,53 +290,23 @@ SevereCoverageResult severe_coverage_experiment(target::ArrestmentSystem& sys,
         std::uint64_t seed = 0x5e7e8eULL + static_cast<std::uint64_t>(c) * word_count;
         sys.configure(cases[c]);
         injector.disarm();
-        const auto bare = cached_bare_golden(cache, sys, c, options.max_ticks, stats);
+        const auto bare = front.golden("trace", c, options.max_ticks);
         const fi::GoldenRun& gr = bare->run;
         sys.sim().enable_trace(false);  // severe runs need no traces
 
-        if (c == case_first) {
-            std::vector<runtime::Trace> traces{gr.trace};
-            bank = make_calibrated_bank(system, traces, options.ea_margins);
-            bank.arm(sys.sim());
-            for (const auto& s : subsets) {
-                std::vector<std::size_t> idx;
-                for (const auto& n : s.ea_names) idx.push_back(bank.index_of(n));
-                subset_indices.push_back(std::move(idx));
-            }
-        } else {
-            recalibrate_bank(bank, system, gr.trace, options.ea_margins);
-        }
+        calibrate_case_bank(bank, subset_indices, sys, gr.trace, options.ea_margins, subsets);
 
+        front.begin_case(nullptr, options.max_ticks);
         for (std::size_t w = 0; w < word_count; ++w) {
-            const runtime::Region region = sys.sim().memory().word(w).region;
-            const std::size_t region_idx = region == runtime::Region::kRam ? 0 : 1;
-
-            runner.run({fi::Injection::into_memory(w, fi::kRandomBit, /*at=*/10,
-                                                   options.severe_period)},
-                       options.max_ticks, ++seed);
-            ++result.runs;
-
-            const bool failed = sys.plant().failure_report().failed();
-            if (failed) ++result.failures;
-            const std::size_t class_idx = failed ? 1 : 2;
-
-            for (std::size_t s = 0; s < subsets.size(); ++s) {
-                const bool det = bank.any_triggered(subset_indices[s]);
-                auto& set = result.sets[s];
-                for (const std::size_t region_slot : {region_idx, std::size_t{2}}) {
-                    for (const std::size_t class_slot : {std::size_t{0}, class_idx}) {
-                        auto& cell = set.cells[region_slot][class_slot];
-                        ++cell.n;
-                        if (det) ++cell.detected;
-                    }
-                }
-            }
+            front.submit({fi::Injection::into_memory(w, fi::kRandomBit, /*at=*/10,
+                                                     options.severe_period)},
+                         ++seed);
         }
+        front.flush(tally);
     }
     sys.sim().enable_trace(true);
     sys.sim().clear_monitors();
-    stats.merge(runner.stats());
-    if (options.fastpath_out) options.fastpath_out->merge(stats);
+    if (options.fastpath_out) options.fastpath_out->merge(front.stats());
     return result;
 }
 
@@ -425,7 +328,10 @@ std::vector<std::string> false_positive_check(target::ArrestmentSystem& sys,
         sys.sim().clear_monitors();
         // The golden trace only calibrates the bank here; the fault-free
         // monitored run below IS the measurement and cannot be elided.
-        const auto bare = cached_bare_golden(cache, sys, c, options.max_ticks, stats);
+        const auto bare = cache.get_or_capture(
+            fi::golden_key("trace", c),
+            [&] { return fi::capture_golden_data(sys.sim(), options.max_ticks, false); },
+            &stats);
         std::vector<runtime::Trace> traces{bare->run.trace};
         ea::EaBank bank = make_calibrated_bank(system, traces);
         bank.arm(sys.sim());

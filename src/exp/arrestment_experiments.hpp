@@ -15,6 +15,7 @@
 #include "ea/calibrate.hpp"
 #include "epic/estimator.hpp"
 #include "epic/matrix.hpp"
+#include "fi/case_runner.hpp"
 #include "fi/fastpath.hpp"
 #include "target/arrestment_system.hpp"
 
@@ -22,8 +23,9 @@ namespace epea::exp {
 
 /// Shared campaign sizing. The paper's full size is 25 cases and 10
 /// injection moments per bit; EPEA_CASES / EPEA_TIMES environment
-/// variables scale it down for quick runs.
-struct CampaignOptions {
+/// variables scale it down for quick runs. The inherited ExecPolicy says
+/// how runs execute.
+struct CampaignOptions : fi::ExecPolicy {
     std::size_t case_count = 25;
     /// First test-case index of the campaign window. The drivers key every
     /// injection stream by the *global* case index, so running cases
@@ -42,21 +44,6 @@ struct CampaignOptions {
     /// 1.0 disables the continuous EAs' steady-state band).
     ea::CalibrationMargins ea_margins{};
 
-    /// Fast path (DESIGN.md §9): fork injection runs from cached golden
-    /// boundary snapshots and prune on state re-convergence. Results are
-    /// bit-identical either way; disable for the reference oracle.
-    bool use_fastpath = true;
-    /// Batched execution (DESIGN.md §14): run the one-shot injection plans
-    /// of a case as lockstep SoA lane batches. Only the permeability and
-    /// input-coverage drivers batch (periodic severe/recovery plans stay
-    /// scalar by design); bit-identical results either way.
-    bool use_batch = true;
-    /// Lanes per lockstep batch; 0 picks the auto width.
-    std::size_t batch_width = 0;
-    /// Shared golden-run cache (the campaign executor passes its own so
-    /// goldens are captured once per case across drivers and worker
-    /// threads); null uses a private per-driver cache.
-    fi::GoldenCache* golden_cache = nullptr;
     /// When set, drivers accumulate their fast-path counters here.
     fi::FastPathStats* fastpath_out = nullptr;
     /// Delta campaigns: restrict permeability injection to these modules

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "fi/case_runner.hpp"
 #include "obs/trace.hpp"
 
 namespace epea::fi {
@@ -96,6 +97,7 @@ void BatchRunner::flush() {
 
     const std::size_t width = effective_width();
     for (std::size_t first = 0; first < live.size(); first += width) {
+        StopScope::check();
         run_batch(live.data() + first, std::min(width, live.size() - first));
     }
 

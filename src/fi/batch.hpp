@@ -145,6 +145,8 @@ public:
     [[nodiscard]] const BatchOutcome& outcome(std::size_t ticket) const {
         return outcomes_.at(ticket);
     }
+    /// Tickets handed out since the last clear().
+    [[nodiscard]] std::size_t submitted() const noexcept { return outcomes_.size(); }
 
     /// Drops outcomes and tickets (start of a new case).
     void clear() {

@@ -4,52 +4,32 @@
 
 namespace epea::fi {
 
-std::optional<runtime::Tick> first_difference(const GoldenRun& gr,
-                                              const runtime::Trace& ir,
-                                              model::SignalId signal) {
-    return ir.first_difference(gr.trace, signal);
-}
-
-DirectOutcome attribute_direct(const model::SystemModel& system, const GoldenRun& gr,
-                               const runtime::Trace& ir, model::ModuleId module,
-                               std::uint32_t injected_port) {
-    const auto& spec = system.module(module);
-    DirectOutcome out;
-    out.affected.assign(spec.outputs.size(), false);
-    out.first_diff.assign(spec.outputs.size(), runtime::kInvalidTick);
-
-    // Attribution compares values over the common trace prefix only: a
-    // changed run *length* makes every signal "differ" at the boundary,
-    // which must not register as a direct output effect.
-    constexpr bool kValueDiffsOnly = false;
-
-    // Earliest contamination of any input other than the injected one.
-    for (std::uint32_t p = 0; p < spec.inputs.size(); ++p) {
-        if (p == injected_port) continue;
-        if (const auto t =
-                ir.first_difference(gr.trace, spec.inputs[p], kValueDiffsOnly)) {
-            out.contamination = std::min(out.contamination, *t);
-        }
+std::vector<runtime::Tick> first_differences(const GoldenRun& gr,
+                                             const runtime::Trace& ir,
+                                             const std::vector<model::SignalId>& signals) {
+    std::vector<runtime::Tick> out(gr.trace.signal_count(), runtime::kInvalidTick);
+    const auto record = [&](model::SignalId sid) {
+        if (const auto t = ir.first_difference(gr.trace, sid, false)) out[sid.index()] = *t;
+    };
+    if (!signals.empty()) {
+        for (const model::SignalId sid : signals) record(sid);
+        return out;
     }
-
-    for (std::uint32_t k = 0; k < spec.outputs.size(); ++k) {
-        if (const auto t =
-                ir.first_difference(gr.trace, spec.outputs[k], kValueDiffsOnly)) {
-            out.first_diff[k] = *t;
-            out.affected[k] = *t <= out.contamination;
-        }
+    for (std::size_t s = 0; s < out.size(); ++s) {
+        record(model::SignalId{static_cast<std::uint32_t>(s)});
     }
     return out;
 }
 
-DirectOutcome attribute_direct_from_first_diff(
-    const model::SystemModel& system, model::ModuleId module,
-    std::uint32_t injected_port, const std::vector<runtime::Tick>& first_diff_by_signal) {
+DirectOutcome attribute_direct(const model::SystemModel& system, model::ModuleId module,
+                               std::uint32_t injected_port,
+                               const std::vector<runtime::Tick>& first_diff_by_signal) {
     const auto& spec = system.module(module);
     DirectOutcome out;
     out.affected.assign(spec.outputs.size(), false);
     out.first_diff.assign(spec.outputs.size(), runtime::kInvalidTick);
 
+    // Earliest contamination of any input other than the injected one.
     for (std::uint32_t p = 0; p < spec.inputs.size(); ++p) {
         if (p == injected_port) continue;
         const runtime::Tick t = first_diff_by_signal[spec.inputs[p].index()];

@@ -3,7 +3,6 @@
 // attribution for module outputs.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "fi/golden.hpp"
@@ -12,10 +11,15 @@
 
 namespace epea::fi {
 
-/// First tick at which the injection-run trace differs from the golden
-/// run on `signal` (std::nullopt if identical, including equal length).
-[[nodiscard]] std::optional<runtime::Tick> first_difference(
-    const GoldenRun& gr, const runtime::Trace& ir, model::SignalId signal);
+/// First tick (index = SignalId) at which the injection-run trace `ir`
+/// differs in value from the golden run over their common prefix;
+/// kInvalidTick = never. A changed run *length* is not a difference here.
+/// Only `signals` are compared when given (the rest stay kInvalidTick).
+/// The batch kernel records the same table online instead of
+/// materializing per-lane traces.
+[[nodiscard]] std::vector<runtime::Tick> first_differences(
+    const GoldenRun& gr, const runtime::Trace& ir,
+    const std::vector<model::SignalId>& signals = {});
 
 /// Direct-error attribution for one module-input injection.
 ///
@@ -36,19 +40,9 @@ struct DirectOutcome {
     runtime::Tick contamination = runtime::kInvalidTick;
 };
 
-[[nodiscard]] DirectOutcome attribute_direct(const model::SystemModel& system,
-                                             const GoldenRun& gr,
-                                             const runtime::Trace& ir,
-                                             model::ModuleId module,
-                                             std::uint32_t injected_port);
-
-/// Same attribution from an already-collected per-signal first-difference
-/// table (index = SignalId, kInvalidTick = no value difference over the
-/// common trace prefix) — the form the batch kernel records online
-/// instead of materializing per-lane traces. Equivalent to
-/// attribute_direct by construction: both consume exactly the per-signal
-/// first value-difference over the common prefix.
-[[nodiscard]] DirectOutcome attribute_direct_from_first_diff(
+/// Attribution from a per-signal first-difference table (the form
+/// first_differences and the batch kernel produce).
+[[nodiscard]] DirectOutcome attribute_direct(
     const model::SystemModel& system, model::ModuleId module,
     std::uint32_t injected_port, const std::vector<runtime::Tick>& first_diff_by_signal);
 

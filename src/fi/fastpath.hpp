@@ -186,7 +186,6 @@ public:
 
     /// Disabling routes every run through the slow path (`--no-fastpath`).
     void set_enabled(bool on) noexcept { enabled_ = on; }
-    [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
     /// Golden data for the currently configured test case; null (or data
     /// without snapshots) forces the slow path.

@@ -16,7 +16,7 @@
 #include "campaign/observer.hpp"
 #include "epic/serialize.hpp"
 #include "exp/paper_data.hpp"
-#include "fi/batch.hpp"
+#include "fi/case_runner.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -585,6 +585,8 @@ HttpResponse Service::handle_campaign_submit(const HttpRequest& req) {
         exec.threads =
             positive_size(*t, "threads", max_request_threads(), "campaign_submit");
     }
+    // The execution policy (fi::ExecPolicy, the base of ExecutorOptions),
+    // with the CLI's batch-width range.
     if (const util::JsonValue* b = body.find("use_batch")) {
         try {
             exec.use_batch = b->as_bool();

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/temp_dir.hpp"
+
 #include "analysis/campaign_lint.hpp"
 #include "analysis/matrix_lint.hpp"
 #include "analysis/model_lint.hpp"
@@ -345,17 +347,9 @@ TEST_F(PlacementLint, TamperedFrontierDotIsCaught) {
 class CampaignLint : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = std::filesystem::path(::testing::TempDir()) /
-               ("campaign_lint_" +
-                std::string(::testing::UnitTest::GetInstance()
-                                ->current_test_info()
-                                ->name()));
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
         spec_ = campaign::CampaignSpec::defaults(
             campaign::CampaignKind::kPermeability);
     }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
 
     void write(const std::string& file, const std::string& content) const {
         std::ofstream out(dir_ / file, std::ios::binary);
@@ -381,7 +375,8 @@ protected:
 
     Report lint() const { return analysis::lint_campaign_dir(dir_.string()); }
 
-    std::filesystem::path dir_;
+    const test::TempDir scratch_;
+    const std::filesystem::path& dir_ = scratch_.path;
     campaign::CampaignSpec spec_;
 };
 
@@ -496,9 +491,8 @@ TEST_F(CampaignLint, UnparsableJournalLineIsW057) {
 // ------------------------------------------------------------ source tree
 
 TEST(SourceLint, BadMetricNameIsW060) {
-    const std::filesystem::path root =
-        std::filesystem::path(::testing::TempDir()) / "source_lint_root";
-    std::filesystem::remove_all(root);
+    const test::TempDir scratch;
+    const std::filesystem::path& root = scratch.path;
     std::filesystem::create_directories(root / "src");
     {
         std::ofstream out(root / "src" / "bad.cpp");
@@ -512,7 +506,6 @@ TEST(SourceLint, BadMetricNameIsW060) {
     EXPECT_TRUE(report.has("EPEA-W060"));
     EXPECT_EQ(report.warning_count(), 1u);  // ok.name passes
     EXPECT_EQ(names, 2u);
-    std::filesystem::remove_all(root);
 }
 
 TEST(SourceLint, RepoSourceTreeIsClean) {

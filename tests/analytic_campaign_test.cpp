@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/temp_dir.hpp"
+
 #include "analytic/delta.hpp"
 #include "analytic/validate.hpp"
 #include "campaign/executor.hpp"
@@ -23,12 +25,6 @@
 namespace {
 
 using namespace epea;
-
-std::string temp_dir(const std::string& name) {
-    const std::string dir = testing::TempDir() + "epea_analytic_" + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
 
 std::string matrix_csv(const epic::PermeabilityMatrix& pm) {
     std::ostringstream out;
@@ -117,14 +113,16 @@ TEST(DeltaCampaign, ExecutorRunCountersProveOnlyStaleModuleRuns) {
     spec.times_per_bit = 1;
     spec.shards = 1;
 
-    const std::string full_dir = temp_dir("exec_full");
+    const test::TempDir full_scratch("exec_full");
+    const std::string full_dir = full_scratch.str();
     campaign::CampaignExecutor full_exec(full_dir, spec);
     ASSERT_TRUE(full_exec.run({}));
     const std::uint64_t full_runs = campaign::read_status(full_dir).runs;
 
     spec.name = "delta";
     spec.module_filter = {"CALC"};
-    const std::string delta_dir = temp_dir("exec_delta");
+    const test::TempDir delta_scratch("exec_delta");
+    const std::string delta_dir = delta_scratch.str();
     campaign::CampaignExecutor delta_exec(delta_dir, spec);
     ASSERT_TRUE(delta_exec.run({}));
     const std::uint64_t delta_runs = campaign::read_status(delta_dir).runs;
@@ -158,7 +156,8 @@ TEST(DeltaCampaign, EmptyPlanSpecIsRefusedByExecutor) {
     // An empty plan means nothing needs re-measurement; the planner
     // clears the case list so the executor refuses the spec outright
     // instead of spending a campaign on zero work.
-    const std::string dir = temp_dir("exec_empty");
+    const test::TempDir scratch("exec_empty");
+    const std::string dir = scratch.str();
     EXPECT_THROW(campaign::CampaignExecutor(dir, spec), std::runtime_error);
     std::filesystem::remove_all(dir);
 }

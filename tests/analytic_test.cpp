@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/temp_dir.hpp"
+
 #include "analysis/campaign_lint.hpp"
 #include "analytic/benefit.hpp"
 #include "analytic/context.hpp"
@@ -326,13 +328,6 @@ TEST(AnalyticDelta, ManifestCheckFlagsUnreadableAndMismatch) {
 
 class SubsetCacheLint : public ::testing::Test {
 protected:
-    void SetUp() override {
-        dir_ = std::filesystem::path(::testing::TempDir()) / "subset_cache_lint";
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
-    }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
     std::string write(const std::string& text) {
         const std::string path = (dir_ / "subset_cache.json").string();
         std::ofstream out(path, std::ios::binary);
@@ -348,7 +343,8 @@ protected:
         return n;
     }
 
-    std::filesystem::path dir_;
+    const test::TempDir scratch_;
+    const std::filesystem::path& dir_ = scratch_.path;
 };
 
 TEST_F(SubsetCacheLint, CleanFileAndMissingFilePass) {
@@ -396,13 +392,6 @@ TEST_F(SubsetCacheLint, RuleIsInCatalog) {
 
 class TimelineLint : public ::testing::Test {
 protected:
-    void SetUp() override {
-        dir_ = std::filesystem::path(::testing::TempDir()) / "timeline_lint";
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
-    }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
     std::string write(const std::string& text) {
         const std::string path = (dir_ / "timeline.jsonl").string();
         std::ofstream out(path, std::ios::binary);
@@ -432,7 +421,8 @@ protected:
         return n;
     }
 
-    std::filesystem::path dir_;
+    const test::TempDir scratch_;
+    const std::filesystem::path& dir_ = scratch_.path;
 };
 
 TEST_F(TimelineLint, CleanResumedFileAndMissingFilePass) {

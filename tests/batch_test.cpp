@@ -221,9 +221,9 @@ TEST(BatchRunner, SealedLanesRetireEarlyWithExactAttribution) {
         // under-record the first diff of a decided-not-affected output
         // (it would land after the contamination), but the attribution
         // itself must be exact.
-        const fi::DirectOutcome da = fi::attribute_direct_from_first_diff(
+        const fi::DirectOutcome da = fi::attribute_direct(
             system, sub.mid, sub.port, dir.first_diff);
-        const fi::DirectOutcome pa = fi::attribute_direct_from_first_diff(
+        const fi::DirectOutcome pa = fi::attribute_direct(
             system, sub.mid, sub.port, ref.first_diff);
         EXPECT_EQ(da.affected, pa.affected);
         // The ablation rule (all outputs diffed) records every output

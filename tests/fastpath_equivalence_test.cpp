@@ -7,6 +7,8 @@
 // batch_test.
 #include <gtest/gtest.h>
 
+#include "support/temp_dir.hpp"
+
 #include <filesystem>
 #include <sstream>
 
@@ -23,15 +25,7 @@ using namespace epea;
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-    fs::path path;
-    explicit TempDir(const std::string& name)
-        : path(fs::temp_directory_path() / ("epea_fastpath_" + name)) {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-};
+using test::TempDir;
 
 exp::CampaignOptions tiny_campaign(bool fastpath, fi::FastPathStats* stats,
                                    bool batch = false) {

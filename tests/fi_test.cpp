@@ -225,8 +225,8 @@ TEST(DirectAttribution, CleanRunAffectsNothing) {
     const GoldenRun gr = capture_golden_run(sys.sim(), target::kMaxRunTicks);
     sys.sim().reset();
     sys.sim().run(target::kMaxRunTicks);
-    const DirectOutcome out = attribute_direct(sys.system(), gr, *sys.sim().trace(),
-                                               sys.system().module_id("CALC"), 2);
+    const DirectOutcome out = attribute_direct(sys.system(), sys.system().module_id("CALC"),
+                                               2, first_differences(gr, *sys.sim().trace()));
     for (const bool affected : out.affected) EXPECT_FALSE(affected);
     EXPECT_EQ(out.contamination, runtime::kInvalidTick);
 }
@@ -242,8 +242,8 @@ TEST(DirectAttribution, DirectEffectCounted) {
     inj.arm({Injection::into_module_input(sys.system().module_id("CLOCK"), 0, 2, 2500)});
     sys.sim().reset();
     sys.sim().run(target::kMaxRunTicks);
-    const DirectOutcome out = attribute_direct(sys.system(), gr, *sys.sim().trace(),
-                                               sys.system().module_id("CLOCK"), 0);
+    const DirectOutcome out = attribute_direct(sys.system(), sys.system().module_id("CLOCK"),
+                                               0, first_differences(gr, *sys.sim().trace()));
     EXPECT_TRUE(out.affected[0]);
     EXPECT_FALSE(out.affected[1]);
 }
@@ -260,8 +260,8 @@ TEST(DirectAttribution, FeedbackContaminationExcluded) {
     inj.arm({Injection::into_module_input(sys.system().module_id("CALC"), 2, 14, 3000)});
     sys.sim().reset();
     sys.sim().run(target::kMaxRunTicks);
-    const DirectOutcome out = attribute_direct(sys.system(), gr, *sys.sim().trace(),
-                                               sys.system().module_id("CALC"), 2);
+    const DirectOutcome out = attribute_direct(sys.system(), sys.system().module_id("CALC"),
+                                               2, first_differences(gr, *sys.sim().trace()));
     EXPECT_TRUE(out.affected[0]);   // i
     EXPECT_FALSE(out.affected[1]);  // SetValue: via i only
     EXPECT_NE(out.contamination, runtime::kInvalidTick);
@@ -270,12 +270,18 @@ TEST(DirectAttribution, FeedbackContaminationExcluded) {
 TEST(FirstDifference, HelperMatchesTraceMethod) {
     target::ArrestmentSystem sys;
     sys.configure(target::standard_test_cases()[0]);
+    Injector inj(sys.sim());
     const GoldenRun gr = capture_golden_run(sys.sim(), target::kMaxRunTicks);
+    inj.arm({Injection::into_module_input(sys.system().module_id("CALC"), 2, 14, 3000)});
     sys.sim().reset();
     sys.sim().run(target::kMaxRunTicks);
-    const auto sid = sys.system().signal_id("pulscnt");
-    EXPECT_EQ(first_difference(gr, *sys.sim().trace(), sid),
-              sys.sim().trace()->first_difference(gr.trace, sid));
+    const std::vector<runtime::Tick> table = first_differences(gr, *sys.sim().trace());
+    ASSERT_EQ(table.size(), sys.system().signal_count());
+    for (const model::SignalId sid : sys.system().all_signals()) {
+        EXPECT_EQ(table[sid.index()],
+                  sys.sim().trace()->first_difference(gr.trace, sid, false).value_or(
+                      runtime::kInvalidTick));
+    }
 }
 
 }  // namespace

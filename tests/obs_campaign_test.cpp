@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/temp_dir.hpp"
+
 #include "campaign/executor.hpp"
 #include "campaign/spec.hpp"
 #include "fi/fastpath.hpp"
@@ -18,12 +20,6 @@
 
 namespace epea::obs {
 namespace {
-
-std::string temp_dir(const std::string& name) {
-    const std::string dir = testing::TempDir() + "epea_obs_" + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
 
 campaign::CampaignSpec small_spec(const std::string& name) {
     campaign::CampaignSpec spec =
@@ -37,7 +33,8 @@ campaign::CampaignSpec small_spec(const std::string& name) {
 
 TEST(ObsCampaignTest, MetricsMatchCheckpointedTotalsBitExactly) {
     if (!kEnabled) GTEST_SKIP() << "built with EPEA_OBS_ENABLED=OFF";
-    const std::string dir = temp_dir("bitexact");
+    const test::TempDir scratch("bitexact");
+    const std::string dir = scratch.str();
 
     RunRecorder recorder;
     recorder.begin();
@@ -92,7 +89,8 @@ TEST(ObsCampaignTest, MetricsMatchCheckpointedTotalsBitExactly) {
 
 TEST(ObsCampaignTest, ReloadingCheckpointsDoesNotDoubleCount) {
     if (!kEnabled) GTEST_SKIP() << "built with EPEA_OBS_ENABLED=OFF";
-    const std::string dir = temp_dir("reload");
+    const test::TempDir scratch("reload");
+    const std::string dir = scratch.str();
     campaign::CampaignExecutor exec(dir, small_spec("obs-reload"));
     ASSERT_TRUE(exec.run());
 

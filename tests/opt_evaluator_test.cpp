@@ -5,6 +5,8 @@
 // event journals (events.jsonl) staying untouched on disk.
 #include <gtest/gtest.h>
 
+#include "support/temp_dir.hpp"
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -20,15 +22,7 @@ using namespace epea;
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-    fs::path path;
-    explicit TempDir(const std::string& name)
-        : path(fs::temp_directory_path() / ("epea_opt_" + name)) {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-};
+using test::TempDir;
 
 /// Total bytes of every events.jsonl under `dir` — the fingerprint of
 /// campaign activity. Any new injection run would append journal lines.

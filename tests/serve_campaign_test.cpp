@@ -7,6 +7,8 @@
 // the request-parsing satellite.
 #include <gtest/gtest.h>
 
+#include "support/temp_dir.hpp"
+
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -34,15 +36,7 @@ using namespace epea;
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-    fs::path path;
-    explicit TempDir(const std::string& name)
-        : path(fs::temp_directory_path() / ("epea_serve_" + name)) {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-};
+using test::TempDir;
 
 std::string run_cli(const std::string& args) {
     const std::string cmd = std::string(EPEA_TOOL) + " " + args + " 2>/dev/null";

@@ -6,6 +6,8 @@
 // threads at once. Fast tier — small iteration counts, real threads.
 #include <gtest/gtest.h>
 
+#include "support/temp_dir.hpp"
+
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -26,15 +28,7 @@ using namespace epea;
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-    fs::path path;
-    explicit TempDir(const std::string& name)
-        : path(fs::temp_directory_path() / ("epea_serve_" + name)) {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-};
+using test::TempDir;
 
 // ------------------------------------------------------------- memo
 

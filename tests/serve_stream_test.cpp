@@ -5,6 +5,8 @@
 // graceful drain complete promptly while a stream is open.
 #include <gtest/gtest.h>
 
+#include "support/temp_dir.hpp"
+
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -29,15 +31,7 @@ using namespace epea;
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-    fs::path path;
-    explicit TempDir(const std::string& name)
-        : path(fs::temp_directory_path() / ("epea_stream_" + name)) {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-};
+using test::TempDir;
 
 std::size_t open_fd_count() {
     std::size_t n = 0;

@@ -3,6 +3,8 @@
 // the JSONL shape are tested without timing dependence.
 #include <gtest/gtest.h>
 
+#include "support/temp_dir.hpp"
+
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -20,15 +22,7 @@ using namespace epea;
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-    fs::path path;
-    explicit TempDir(const std::string& name)
-        : path(fs::temp_directory_path() / ("epea_timeline_" + name)) {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-};
+using test::TempDir;
 
 std::vector<std::string> read_lines(const fs::path& path) {
     std::ifstream in(path, std::ios::binary);

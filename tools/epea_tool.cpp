@@ -70,7 +70,6 @@
 #include "epic/placement.hpp"
 #include "epic/serialize.hpp"
 #include "exp/arrestment_experiments.hpp"
-#include "exp/parallel.hpp"
 #include "exp/paper_data.hpp"
 #include "fi/golden.hpp"
 #include "fi/injector.hpp"
@@ -207,13 +206,13 @@ bool has_flag(const std::vector<std::string>& args, const char* flag) {
     return false;
 }
 
-/// Shared --no-batch / --batch-width handling. Returns false (with a
-/// message) when the requested width is 0 or above the hard cap — the
-/// same style of sizing validation the serve daemon applies to thread
-/// counts.
-bool parse_batch_flags(const std::vector<std::string>& args, bool& use_batch,
-                       std::size_t& batch_width) {
-    use_batch = !has_flag(args, "--no-batch");
+/// The one parser for how runs execute: --no-fastpath, --no-batch and
+/// --batch-width, shared by estimate, campaign run/resume and ground-truth
+/// placement. Returns false (with a message) when the requested width is
+/// 0 or above the hard cap — the same range the serve daemon enforces.
+bool parse_exec_policy(const std::vector<std::string>& args, fi::ExecPolicy& policy) {
+    policy.use_fastpath = !has_flag(args, "--no-fastpath");
+    policy.use_batch = !has_flag(args, "--no-batch");
     if (const auto w = flag_value(args, "--batch-width")) {
         const unsigned long v = std::stoul(*w);
         if (v == 0 || v > fi::BatchRunner::kMaxWidth) {
@@ -221,7 +220,7 @@ bool parse_batch_flags(const std::vector<std::string>& args, bool& use_batch,
                          fi::BatchRunner::kMaxWidth);
             return false;
         }
-        batch_width = static_cast<std::size_t>(v);
+        policy.batch_width = static_cast<std::size_t>(v);
     }
     return true;
 }
@@ -282,8 +281,7 @@ int cmd_estimate(const std::vector<std::string>& args) {
     if (const auto t = flag_value(args, "--times")) {
         options.times_per_bit = static_cast<std::size_t>(std::stoul(*t));
     }
-    options.use_fastpath = !has_flag(args, "--no-fastpath");
-    if (!parse_batch_flags(args, options.use_batch, options.batch_width)) return 2;
+    if (!parse_exec_policy(args, options)) return 2;
     fi::FastPathStats fastpath;
     options.fastpath_out = &fastpath;
 
@@ -301,9 +299,8 @@ int cmd_estimate(const std::vector<std::string>& args) {
 
     std::fprintf(stderr, "estimating (%zu cases x %zu times/bit)...\n",
                  options.case_count, options.times_per_bit);
-    const epic::PermeabilityMatrix pm =
-        exp::estimate_arrestment_permeability_parallel(options);
-    fi::add_fastpath_metrics(fastpath);
+    static const model::SystemModel system = target::make_arrestment_model();
+    const epic::PermeabilityMatrix pm = campaign::estimate_permeability(system, options);
     obs_cli.manifest().fastpath_stats = fi::fastpath_stats_json(fastpath);
 
     if (const auto out = flag_value(args, "--out")) {
@@ -471,8 +468,7 @@ int run_and_report(campaign::CampaignExecutor& exec,
         opts.max_shards = static_cast<std::size_t>(std::stoul(*m));
     }
     opts.echo_events = has_flag(args, "--verbose");
-    opts.use_fastpath = !has_flag(args, "--no-fastpath");
-    if (!parse_batch_flags(args, opts.use_batch, opts.batch_width)) return 2;
+    if (!parse_exec_policy(args, opts)) return 2;
     if (const auto i = flag_value(args, "--timeline-interval")) {
         opts.timeline_interval_ms = static_cast<std::uint32_t>(std::stoul(*i));
     }
@@ -650,8 +646,7 @@ opt::PlacementOptimizer make_place_optimizer(
             options.threads = static_cast<std::size_t>(std::stoul(*t));
         }
         options.echo_events = has_flag(args, "--verbose");
-        options.use_fastpath = !has_flag(args, "--no-fastpath");
-        if (!parse_batch_flags(args, options.use_batch, options.batch_width)) {
+        if (!parse_exec_policy(args, options)) {
             throw std::invalid_argument("--batch-width out of range");
         }
         mode_out = "ground-truth";
