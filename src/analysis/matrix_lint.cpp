@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "epic/graph.hpp"
 #include "epic/measures.hpp"
 #include "util/stats.hpp"
 
@@ -27,25 +28,21 @@ std::string fmt(double v) {
     return buf;
 }
 
-struct Edge {
-    std::size_t to = 0;
-    double weight = 0.0;
-};
-
-/// DFS over the nonzero-permeability signal graph collecting the
+/// DFS over the propagation graph's permeable edges collecting the
 /// maximum-product cycle through `start` (cycles of length >= 2; the
-/// i -> i self-loop is excluded by construction since propagation paths
-/// never revisit a signal). Only cycles whose smallest signal index is
-/// `start` are reported, so each elementary cycle surfaces once.
-void max_cycle_from(const std::vector<std::vector<Edge>>& graph, std::size_t start,
-                    std::size_t at, double product, std::vector<bool>& on_path,
-                    std::vector<std::size_t>& path, double& best,
-                    std::vector<std::size_t>& best_path) {
-    for (const Edge& e : graph[at]) {
+/// graph has no i -> i self-loop edges). Only cycles whose smallest
+/// signal index is `start` are reported, so each elementary cycle
+/// surfaces once. Out-of-range cells (already E030/E031) close no cycle.
+void max_cycle_from(const epic::PropagationGraph& graph, std::uint32_t start,
+                    std::uint32_t at, double product, std::vector<bool>& on_path,
+                    std::vector<std::uint32_t>& path, double& best,
+                    std::vector<std::uint32_t>& best_path) {
+    for (const epic::GraphEdge& e : graph.out_edges(at)) {
+        const double w = e.weight.point;
+        if (!(w > 0.0 && w <= 1.0)) continue;
         if (e.to == start && path.size() >= 2) {
-            const double w = product * e.weight;
-            if (w > best) {
-                best = w;
+            if (product * w > best) {
+                best = product * w;
                 best_path = path;
             }
             continue;
@@ -53,8 +50,7 @@ void max_cycle_from(const std::vector<std::vector<Edge>>& graph, std::size_t sta
         if (e.to <= start || on_path[e.to]) continue;
         on_path[e.to] = true;
         path.push_back(e.to);
-        max_cycle_from(graph, start, e.to, product * e.weight, on_path, path,
-                       best, best_path);
+        max_cycle_from(graph, start, e.to, product * w, on_path, path, best, best_path);
         path.pop_back();
         on_path[e.to] = false;
     }
@@ -101,28 +97,22 @@ Report lint_matrix(const epic::PermeabilityMatrix& pm, const std::string& artifa
         }
     }
 
-    // Weighted feedback cycles over the in-range entries.
-    std::vector<std::vector<Edge>> graph(system.signal_count());
-    for (const epic::PairEntry& e : pm.entries()) {
-        if (e.value > 0.0 && e.value <= 1.0 && e.in_signal != e.out_signal) {
-            graph[e.in_signal.index()].push_back(Edge{e.out_signal.index(), e.value});
-        }
-    }
-    for (std::size_t start = 0; start < graph.size(); ++start) {
+    // Weighted feedback cycles over the in-range permeable edges.
+    const epic::PropagationGraph graph(pm);
+    for (std::uint32_t start = 0; start < graph.node_count(); ++start) {
         double best = 0.0;
-        std::vector<std::size_t> best_path;
-        std::vector<bool> on_path(graph.size(), false);
-        std::vector<std::size_t> path{start};
+        std::vector<std::uint32_t> best_path;
+        std::vector<bool> on_path(graph.node_count(), false);
+        std::vector<std::uint32_t> path{start};
         on_path[start] = true;
         max_cycle_from(graph, start, start, 1.0, on_path, path, best, best_path);
         if (best < options.feedback_warn) continue;
         std::string cycle;
-        for (const std::size_t s : best_path) {
-            cycle += system.signal_name(model::SignalId{
-                static_cast<std::uint32_t>(s)});
+        for (const std::uint32_t s : best_path) {
+            cycle += system.signal_name(model::SignalId{s});
             cycle += "->";
         }
-        cycle += system.signal_name(model::SignalId{static_cast<std::uint32_t>(start)});
+        cycle += system.signal_name(model::SignalId{start});
         report.add(best >= options.feedback_error ? "EPEA-E034" : "EPEA-W033",
                    artifact, cycle,
                    "feedback cycle with permeability product " + fmt(best));

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <set>
 
+#include "epic/graph.hpp"
 #include "epic/measures.hpp"
 #include "opt/cost.hpp"
 #include "prove/prover.hpp"
@@ -66,7 +67,7 @@ Report lint_placement_structure(const epic::PermeabilityMatrix& pm,
                                 bool full_coverage_claim) {
     Report report;
     const model::SystemModel& system = pm.system();
-    const prove::SignalGraph graph = prove::SignalGraph::from_matrix(pm);
+    const epic::PropagationGraph graph(pm);
     const prove::Prover prover(graph);
 
     // Resolvable, non-input EA signals; the rest belong to

@@ -4,44 +4,11 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/stats.hpp"
-
 namespace epea::analytic {
 
-namespace {
-
-Bound cell_bound(const util::Proportion& counts, double value, double z) {
-    if (counts.trials == 0) {
-        // Analytically set matrix: no estimation counts, no uncertainty.
-        return Bound{value, value, value};
-    }
-    util::Proportion p = util::wilson_interval(counts.hits, counts.trials, z);
-    return Bound{p.lo, p.point, p.hi};
-}
-
-}  // namespace
-
 Engine::Engine(const epic::PermeabilityMatrix& pm, EngineOptions options)
-    : pm_(&pm), options_(options) {
-    const model::SystemModel& sys = pm.system();
-    incoming_.resize(sys.signal_count());
-    cache_.resize(sys.signal_count());
-    for (model::ModuleId m : sys.all_modules()) {
-        const model::ModuleSpec& spec = sys.module(m);
-        for (std::uint32_t i = 0; i < spec.input_count(); ++i) {
-            for (std::uint32_t k = 0; k < spec.output_count(); ++k) {
-                model::SignalId from = spec.inputs[i];
-                model::SignalId to = spec.outputs[k];
-                // Same-signal module-internal loop (CALC's i -> i): the
-                // paper's cycle treatment only counts cycles of length
-                // >= 2, so this edge is dropped from composition.
-                if (from == to) continue;
-                Bound p = cell_bound(pm.counts(m, i, k), pm.get(m, i, k), options_.z);
-                if (p.hi <= 0.0) continue;  // structurally dead edge
-                incoming_[to.index()].push_back(Edge{from.value, p});
-            }
-        }
-    }
+    : pm_(&pm), options_(options), graph_(pm) {
+    cache_.resize(graph_.node_count());
 }
 
 const ReachProfile& Engine::reach(model::SignalId source) const {
@@ -59,10 +26,10 @@ const ReachProfile& Engine::reach(model::SignalId source) const {
 }
 
 ReachProfile Engine::solve(model::SignalId source) const {
-    if (!source.valid() || source.index() >= incoming_.size()) {
+    if (!source.valid() || source.index() >= graph_.node_count()) {
         throw std::out_of_range("analytic::Engine::solve: invalid source signal");
     }
-    const std::size_t n = incoming_.size();
+    const std::size_t n = graph_.node_count();
     ReachProfile profile;
     profile.source = source;
     profile.visibility.assign(n, Bound{});
@@ -84,11 +51,11 @@ ReachProfile Engine::solve(model::SignalId source) const {
                 continue;
             }
             double miss_lo = 1.0, miss_pt = 1.0, miss_hi = 1.0;
-            for (const Edge& e : incoming_[t]) {
+            for (const epic::GraphEdge& e : graph_.in_edges(static_cast<std::uint32_t>(t))) {
                 const Bound& v = profile.visibility[e.from];
-                miss_lo *= 1.0 - v.lo * e.p.lo;
-                miss_pt *= 1.0 - v.point * e.p.point;
-                miss_hi *= 1.0 - v.hi * e.p.hi;
+                miss_lo *= 1.0 - v.lo * e.weight.lo;
+                miss_pt *= 1.0 - v.point * e.weight.point;
+                miss_hi *= 1.0 - v.hi * e.weight.hi;
             }
             Bound nv{1.0 - miss_lo, 1.0 - miss_pt, 1.0 - miss_hi};
             const Bound& ov = profile.visibility[t];
@@ -110,7 +77,7 @@ ReachProfile Engine::solve(model::SignalId source) const {
 }
 
 Bound Engine::permeability(model::SignalId source, model::SignalId sink) const {
-    if (!sink.valid() || sink.index() >= incoming_.size()) {
+    if (!sink.valid() || sink.index() >= graph_.node_count()) {
         throw std::out_of_range("analytic::Engine::permeability: invalid sink signal");
     }
     return reach(source).visibility[sink.index()];
@@ -125,9 +92,7 @@ std::optional<Bound> Engine::exposure(model::SignalId s) const {
     // no composition, so the bounds are just summed cell bounds.
     Bound x{0.0, 0.0, 0.0};
     for (std::uint32_t i = 0; i < spec.input_count(); ++i) {
-        Bound c = cell_bound(pm_->counts(producer->module, i, producer->port),
-                             pm_->get(producer->module, i, producer->port),
-                             options_.z);
+        const Bound c = epic::cell_weight(*pm_, producer->module, i, producer->port);
         x.lo += c.lo;
         x.point += c.point;
         x.hi += c.hi;

@@ -12,9 +12,10 @@
 // a least fixpoint (Kleene iteration from ⊥, monotone, so it converges
 // from below) with a configurable epsilon and iteration cap.
 //
-// Every answer carries error bars: each matrix cell's Wilson interval
-// (from its affected/active estimation counts) is propagated through the
-// same composition, which is monotone in every cell value, so running
+// Every answer carries error bars: each edge of the shared
+// epic::PropagationGraph carries its cell's Wilson interval (from the
+// affected/active estimation counts), propagated through the same
+// composition, which is monotone in every cell value, so running
 // the fixpoint on the lo/point/hi cell values yields lo/point/hi bounds
 // on the composed quantity.
 #pragma once
@@ -23,17 +24,14 @@
 #include <optional>
 #include <vector>
 
+#include "epic/graph.hpp"
 #include "epic/matrix.hpp"
 
 namespace epea::analytic {
 
-/// A value with propagated Wilson-interval error bars. For analytically
-/// set matrices (no estimation counts) lo == point == hi.
-struct Bound {
-    double lo = 0.0;
-    double point = 0.0;
-    double hi = 0.0;
-};
+/// A value with propagated Wilson-interval error bars — the graph's
+/// edge weight type. For analytically set matrices lo == point == hi.
+using Bound = epic::Bound;
 
 struct EngineOptions {
     /// Fixpoint convergence threshold: iterate until no signal's
@@ -43,8 +41,6 @@ struct EngineOptions {
     /// permeability-1.0 cycle never meets epsilon); the profile's
     /// `converged` flag records whether the cap was hit.
     std::size_t max_iterations = 256;
-    /// Normal quantile of the per-cell Wilson intervals (95 %).
-    double z = 1.96;
 };
 
 /// The reach profile of one error source: for every signal, the
@@ -66,6 +62,7 @@ public:
         return pm_->system();
     }
     [[nodiscard]] const EngineOptions& options() const noexcept { return options_; }
+    [[nodiscard]] const epic::PropagationGraph& graph() const noexcept { return graph_; }
 
     /// Reach profile of `source` (cached per source after the first query).
     /// NOT thread-safe (mutates the per-source cache); concurrent callers
@@ -104,16 +101,9 @@ public:
     [[nodiscard]] std::size_t solves() const noexcept { return solves_; }
 
 private:
-    struct Edge {
-        std::uint32_t from = 0;  ///< signal index the error enters on
-        Bound p;                 ///< cell permeability with Wilson bounds
-    };
-
     const epic::PermeabilityMatrix* pm_;
     EngineOptions options_;
-    /// incoming_[t]: all permeability edges into signal t (module-internal
-    /// self-loops u == t excluded per the ≥2-length rule).
-    std::vector<std::vector<Edge>> incoming_;
+    epic::PropagationGraph graph_;
     mutable std::vector<std::optional<ReachProfile>> cache_;
     mutable bool any_unconverged_ = false;
     mutable std::size_t solves_ = 0;

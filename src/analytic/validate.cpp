@@ -5,13 +5,12 @@
 
 #include "alt/tank_system.hpp"
 #include "epic/measures.hpp"
+#include "epic/paths.hpp"
 #include "exp/paper_data.hpp"
 #include "fi/case_runner.hpp"
 #include "fi/injection.hpp"
 #include "fi/injector.hpp"
 #include "opt/benefit.hpp"
-#include "prove/graph.hpp"
-#include "prove/prover.hpp"
 #include "synth/generator.hpp"
 #include "target/arrestment_system.hpp"
 #include "util/rng.hpp"
@@ -87,7 +86,7 @@ util::JsonValue ExactnessCheck::to_json() const {
     w.emplace("source", util::JsonValue(worst.source));
     w.emplace("observer", util::JsonValue(worst.observer));
     w.emplace("analytic", util::JsonValue(worst.analytic));
-    w.emplace("prover", util::JsonValue(worst.reference > 0.0));
+    w.emplace("prover", util::JsonValue(worst.reference > 0.0));  // graph reach
     o.emplace("worst", util::JsonValue(std::move(w)));
     return util::JsonValue(std::move(o));
 }
@@ -95,19 +94,27 @@ util::JsonValue ExactnessCheck::to_json() const {
 ExactnessCheck exactness_check(const epic::PermeabilityMatrix& pm,
                                const EngineOptions& engine_options) {
     const model::SystemModel& system = pm.system();
-    Engine engine(pm, engine_options);
-    const prove::SignalGraph graph = prove::SignalGraph::from_matrix(pm);
-    const prove::Prover prover(graph);
+    const Engine engine(pm, engine_options);
+    // The oracle keeps every cell with a positive value — the graph's
+    // point > 0 rule, restated by brute-force simple-path enumeration.
+    epic::TreeOptions oracle;
+    oracle.epsilon = 0.0;
     ExactnessCheck check;
     for (const model::SignalId source : system.all_signals()) {
+        std::vector<bool> enumerated(system.signal_count(), false);
+        for (const epic::PropPath& path : epic::forward_paths(pm, source, oracle)) {
+            for (const epic::PropEdge& e : path.edges) enumerated[e.to.index()] = true;
+        }
+        const std::vector<bool> reached =
+            engine.graph().reach_from({static_cast<std::uint32_t>(source.index())});
         for (const model::SignalId observer : system.all_signals()) {
             if (source == observer) continue;
+            const bool reaches = reached[observer.index()];
+            // The fixpoint can still underflow where the graph says an
+            // error reaches, so the engine is compared in the same loop.
             const double composed = engine.permeability(source, observer).point;
-            const bool reaches =
-                prover.path_exists(static_cast<std::uint32_t>(source.index()),
-                                   static_cast<std::uint32_t>(observer.index()));
             ++check.pairs;
-            if ((composed > 0.0) != reaches) {
+            if (enumerated[observer.index()] != reaches || (composed > 0.0) != reaches) {
                 if (check.mismatches++ == 0) {
                     check.worst = PairDeviation{system.signal_name(source),
                                                 system.signal_name(observer),
@@ -117,14 +124,6 @@ ExactnessCheck exactness_check(const epic::PermeabilityMatrix& pm,
         }
     }
     return check;
-}
-
-epic::PermeabilityMatrix uniform_matrix(const model::SystemModel& system, double p) {
-    epic::PermeabilityMatrix pm(system);
-    for (const epic::PairEntry& e : pm.entries()) {
-        pm.set(e.module, e.in_port, e.out_port, p);
-    }
-    return pm;
 }
 
 util::JsonValue CampaignCheck::to_json() const {
@@ -236,7 +235,7 @@ CampaignCheck campaign_check(const exp::CampaignOptions& options,
             row.output = system.signal_name(outputs[oi]);
             row.measured =
                 util::wilson_interval(counts[si][oi].affected, counts[si][oi].active,
-                                      engine_options.z);
+                                      epic::kWilsonZ);
             row.analytic = engine.permeability(inputs[si], outputs[oi]);
             check.max_abs_diff = std::max(check.max_abs_diff, row.abs_diff());
             check.rows.push_back(std::move(row));
@@ -302,15 +301,16 @@ ValidateResult validate_arrestment(const ValidateOptions& options) {
     }
     result.pass = enum_pass;
 
-    // Prong 1b: structural exactness on the hand-written targets — engine
-    // reach positivity must agree with the prover's path-existence on the
-    // paper matrix and on a uniform tank matrix (the tank ships without a
+    // Prong 1b: structural exactness on the hand-written targets — the
+    // propagation graph's reach must agree with brute-force path
+    // enumeration and with engine reach positivity on the paper matrix
+    // and on a uniform tank matrix (the tank ships without a
     // measured matrix, so every structural pair gets permeability 0.5).
     {
         const ExactnessCheck paper_exact = exactness_check(paper, options.engine);
         const model::SystemModel tank = alt::make_tank_model();
         const ExactnessCheck tank_exact =
-            exactness_check(uniform_matrix(tank, 0.5), options.engine);
+            exactness_check(epic::uniform_matrix(tank, 0.5), options.engine);
         const bool exact_pass =
             paper_exact.mismatches == 0 && tank_exact.mismatches == 0;
         util::JsonObject prong;

@@ -54,30 +54,28 @@ struct EnumerationCheck {
 [[nodiscard]] EnumerationCheck enumeration_check(const epic::PermeabilityMatrix& pm,
                                                  const EngineOptions& engine = {});
 
-/// Structural exactness: the engine's composed permeability is positive
-/// exactly when the §16 prover finds a positive-permeability path in the
-/// signal graph. Any mismatch means the two reachability semantics have
-/// drifted apart (prover edge rule vs engine cell bound).
+/// Structural exactness of the one epic::PropagationGraph: for every
+/// ordered pair, the graph reaches the observer over permeable edges
+/// exactly when the brute-force epic::forward_paths enumerator finds a
+/// simple path of positive cells, and exactly when the engine's composed
+/// point permeability is positive. The first comparison checks the
+/// graph's edge rule against an independent oracle; the second catches
+/// a fixpoint that underflows to 0 where an error does reach.
 struct ExactnessCheck {
     std::size_t pairs = 0;
     std::size_t mismatches = 0;
-    /// First mismatching pair (reference is 1.0 when the prover finds a
-    /// path the engine calls unreachable, 0.0 for the converse).
+    /// First mismatching pair: `analytic` is the engine's point value,
+    /// `reference` is 1.0 when the graph reaches the observer and 0.0
+    /// when it does not (serialized as the boolean "prover").
     PairDeviation worst;
 
     [[nodiscard]] util::JsonValue to_json() const;
 };
 
-/// Engine reach positivity vs prover path-existence on every ordered
-/// signal pair of `pm`'s system.
+/// Graph reach vs path enumeration and engine positivity on every
+/// ordered signal pair of `pm`'s system.
 [[nodiscard]] ExactnessCheck exactness_check(const epic::PermeabilityMatrix& pm,
                                              const EngineOptions& engine = {});
-
-/// Fills every structural input/output pair of `system` with permeability
-/// `p` — the hand-written-target harness for exactness_check on models
-/// that ship without a measured matrix (the tank).
-[[nodiscard]] epic::PermeabilityMatrix uniform_matrix(const model::SystemModel& system,
-                                                      double p);
 
 /// One (system input, system output) row of the campaign prong.
 struct CampaignRow {
@@ -111,8 +109,9 @@ struct SynthSweep {
     double max_abs_diff_acyclic = 0.0;
     double max_abs_diff_cyclic = 0.0;
     bool all_converged = true;
-    /// Engine-vs-prover reachability mismatches across the corpus; gated
-    /// to zero (positivity must agree even where magnitudes diverge).
+    /// Exactness mismatches (graph vs enumerator vs engine positivity)
+    /// across the corpus; gated to zero (positivity must agree even where
+    /// magnitudes diverge).
     std::size_t exactness_mismatches = 0;
 
     [[nodiscard]] util::JsonValue to_json() const;

@@ -142,4 +142,10 @@ std::size_t PermeabilityMatrix::pair_count() const noexcept {
     return system_->pair_count();
 }
 
+PermeabilityMatrix uniform_matrix(const model::SystemModel& system, double p) {
+    PermeabilityMatrix pm(system);
+    for (const PairEntry& e : pm.entries()) pm.set(e.module, e.in_port, e.out_port, p);
+    return pm;
+}
+
 }  // namespace epea::epic

@@ -81,4 +81,10 @@ private:
     std::vector<std::vector<Cell>> cells_;
 };
 
+/// Every input/output pair of `system` at permeability `p`: the matrix of
+/// a model that ships without a measured one (the tank). With p > 0 its
+/// propagation graph is the model's structure.
+[[nodiscard]] PermeabilityMatrix uniform_matrix(const model::SystemModel& system,
+                                                double p);
+
 }  // namespace epea::epic

@@ -1,5 +1,6 @@
 #include "prove/certificate.hpp"
 
+#include <optional>
 #include <sstream>
 
 namespace epea::prove {
@@ -15,7 +16,7 @@ util::JsonArray name_array(const std::vector<std::string>& names) {
 
 }  // namespace
 
-util::JsonValue graph_json(const SignalGraph& graph, SiteModel sites) {
+util::JsonValue graph_json(const epic::PropagationGraph& graph, SiteModel sites) {
     const model::SystemModel& system = graph.system();
     util::JsonObject g;
 
@@ -25,12 +26,19 @@ util::JsonValue graph_json(const SignalGraph& graph, SiteModel sites) {
     }
     g["signals"] = std::move(signals);
 
+    // Out-rows are sorted by target, so parallel cells between the same
+    // two signals are adjacent and the pairs come out sorted and unique.
     util::JsonArray edges;
-    for (const auto& [from, to] : graph.edges()) {
-        util::JsonArray edge;
-        edge.emplace_back(system.signal_name(model::SignalId{from}));
-        edge.emplace_back(system.signal_name(model::SignalId{to}));
-        edges.emplace_back(std::move(edge));
+    for (std::uint32_t from = 0; from < graph.node_count(); ++from) {
+        std::optional<std::uint32_t> last_to;
+        for (const epic::GraphEdge& e : graph.out_edges(from)) {
+            if (!e.permeable() || last_to == e.to) continue;
+            last_to = e.to;
+            util::JsonArray edge;
+            edge.emplace_back(system.signal_name(model::SignalId{from}));
+            edge.emplace_back(system.signal_name(model::SignalId{e.to}));
+            edges.emplace_back(std::move(edge));
+        }
     }
     g["edges"] = std::move(edges);
 
@@ -58,7 +66,7 @@ util::JsonValue graph_json(const SignalGraph& graph, SiteModel sites) {
     return util::JsonValue{std::move(g)};
 }
 
-util::JsonValue check_json(const SignalGraph& graph, const PlacementCheck& check,
+util::JsonValue check_json(const epic::PropagationGraph& graph, const PlacementCheck& check,
                            const std::string& model_name,
                            const std::string& graph_source) {
     util::JsonObject doc;

@@ -9,18 +9,18 @@
 #include <string>
 #include <vector>
 
-#include "prove/graph.hpp"
 #include "prove/prover.hpp"
 #include "util/json.hpp"
 
 namespace epea::prove {
 
-/// Graph section shared by every certificate: signals, positive-
-/// permeability edges, error sites and outputs.
-[[nodiscard]] util::JsonValue graph_json(const SignalGraph& graph, SiteModel sites);
+/// Graph section shared by every certificate: signals, the distinct
+/// (from, to) pairs of the permeable edges, error sites and outputs.
+[[nodiscard]] util::JsonValue graph_json(const epic::PropagationGraph& graph,
+                                         SiteModel sites);
 
 /// Full check document for one (model, placement) pair.
-[[nodiscard]] util::JsonValue check_json(const SignalGraph& graph,
+[[nodiscard]] util::JsonValue check_json(const epic::PropagationGraph& graph,
                                          const PlacementCheck& check,
                                          const std::string& model_name,
                                          const std::string& graph_source);

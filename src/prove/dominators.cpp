@@ -8,7 +8,7 @@ namespace epea::prove {
 
 namespace {
 
-std::vector<std::uint32_t> role_nodes(const SignalGraph& graph,
+std::vector<std::uint32_t> role_nodes(const epic::PropagationGraph& graph,
                                       model::SignalRole role) {
     std::vector<std::uint32_t> nodes;
     for (const model::SignalId s : graph.system().signals_with_role(role)) {
@@ -17,28 +17,37 @@ std::vector<std::uint32_t> role_nodes(const SignalGraph& graph,
     return nodes;
 }
 
+/// Successor and predecessor lists over the permeable edges only.
+struct Adjacency {
+    std::vector<std::vector<std::uint32_t>> succ;
+    std::vector<std::vector<std::uint32_t>> pred;
+};
+
+Adjacency permeable_adjacency(const epic::PropagationGraph& graph) {
+    Adjacency adj{std::vector<std::vector<std::uint32_t>>(graph.node_count()),
+                  std::vector<std::vector<std::uint32_t>>(graph.node_count())};
+    for (std::uint32_t u = 0; u < graph.node_count(); ++u) {
+        for (const epic::GraphEdge& e : graph.out_edges(u)) {
+            if (!e.permeable()) continue;
+            adj.succ[u].push_back(e.to);
+            adj.pred[e.to].push_back(u);
+        }
+    }
+    return adj;
+}
+
 }  // namespace
 
-DominatorTree DominatorTree::dominators(const SignalGraph& graph) {
-    std::vector<std::vector<std::uint32_t>> succ(graph.node_count());
-    std::vector<std::vector<std::uint32_t>> pred(graph.node_count());
-    for (std::uint32_t u = 0; u < graph.node_count(); ++u) {
-        succ[u] = graph.succ(u);
-        pred[u] = graph.pred(u);
-    }
-    return compute(graph.node_count(), succ, pred,
+DominatorTree DominatorTree::dominators(const epic::PropagationGraph& graph) {
+    const Adjacency adj = permeable_adjacency(graph);
+    return compute(graph.node_count(), adj.succ, adj.pred,
                    role_nodes(graph, model::SignalRole::kSystemInput));
 }
 
-DominatorTree DominatorTree::post_dominators(const SignalGraph& graph) {
+DominatorTree DominatorTree::post_dominators(const epic::PropagationGraph& graph) {
     // Dominators of the edge-reversed graph rooted at the outputs.
-    std::vector<std::vector<std::uint32_t>> succ(graph.node_count());
-    std::vector<std::vector<std::uint32_t>> pred(graph.node_count());
-    for (std::uint32_t u = 0; u < graph.node_count(); ++u) {
-        succ[u] = graph.pred(u);
-        pred[u] = graph.succ(u);
-    }
-    return compute(graph.node_count(), succ, pred,
+    const Adjacency adj = permeable_adjacency(graph);
+    return compute(graph.node_count(), adj.pred, adj.succ,
                    role_nodes(graph, model::SignalRole::kSystemOutput));
 }
 

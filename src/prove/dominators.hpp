@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "prove/graph.hpp"
+#include "epic/graph.hpp"
 
 namespace epea::prove {
 
@@ -23,11 +23,11 @@ public:
     static constexpr std::uint32_t kNone = 0xffffffffU;
 
     /// Dominators from the virtual super-source (entry = system inputs).
-    [[nodiscard]] static DominatorTree dominators(const SignalGraph& graph);
+    [[nodiscard]] static DominatorTree dominators(const epic::PropagationGraph& graph);
 
     /// Post-dominators toward the virtual super-sink (exit = outputs);
     /// computed as dominators of the reversed graph.
-    [[nodiscard]] static DominatorTree post_dominators(const SignalGraph& graph);
+    [[nodiscard]] static DominatorTree post_dominators(const epic::PropagationGraph& graph);
 
     /// Immediate dominator of a signal index; kNone when the node is the
     /// virtual root's direct child or unreachable.

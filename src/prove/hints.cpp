@@ -1,6 +1,6 @@
 #include "prove/hints.hpp"
 
-#include "prove/graph.hpp"
+#include "epic/graph.hpp"
 
 namespace epea::prove {
 
@@ -11,7 +11,7 @@ SiteModel site_model(opt::ErrorModel model) noexcept {
 opt::StructuralHints structural_hints(const epic::PermeabilityMatrix& pm,
                                       opt::ErrorModel model,
                                       const std::vector<std::string>& candidate_names) {
-    const SignalGraph graph = SignalGraph::from_matrix(pm);
+    const epic::PropagationGraph graph(pm);
     const Prover prover(graph);
     std::vector<model::SignalId> ids;
     ids.reserve(candidate_names.size());

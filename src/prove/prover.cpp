@@ -159,8 +159,8 @@ PlacementCheck Prover::check(const std::vector<model::SignalId>& placement,
     for (const model::SignalId c : placement) {
         const auto node = static_cast<std::uint32_t>(c.index());
         bool witnessed = false;
-        for (const std::uint32_t p : graph_->pred(node)) {
-            if (from_sites[p]) witnessed = true;
+        for (const epic::GraphEdge& e : graph_->in_edges(node)) {
+            if (e.permeable() && from_sites[e.from]) witnessed = true;
         }
         if (!witnessed) out.unwitnessed.push_back(system.signal_name(c));
     }

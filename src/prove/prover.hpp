@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "prove/graph.hpp"
+#include "epic/graph.hpp"
 
 namespace epea::prove {
 
@@ -75,17 +75,16 @@ struct PlacementCheck {
 
 class Prover {
 public:
-    explicit Prover(const SignalGraph& graph) : graph_(&graph) {}
+    explicit Prover(const epic::PropagationGraph& graph) : graph_(&graph) {}
 
-    [[nodiscard]] const SignalGraph& graph() const noexcept { return *graph_; }
+    [[nodiscard]] const epic::PropagationGraph& graph() const noexcept { return *graph_; }
 
     /// Error-site node indices for a site model, in signal-id order —
     /// the same ordering analytic::detection_matrix uses for its rows.
     [[nodiscard]] std::vector<std::uint32_t> error_sites(SiteModel model) const;
 
     /// True when an error on `from` can manifest on `to`: from == to, or
-    /// a >= 1-length positive-permeability path exists. Matches
-    /// "engine reachability > 0" exactly (the validate exactness prong).
+    /// a >= 1-length path of permeable graph edges exists.
     [[nodiscard]] bool path_exists(std::uint32_t from, std::uint32_t to) const;
 
     /// Full semantic check of a placement (cut + shadowing + containment
@@ -110,7 +109,7 @@ private:
     [[nodiscard]] std::vector<bool> to_blocked(
         const std::vector<model::SignalId>& placement) const;
 
-    const SignalGraph* graph_;
+    const epic::PropagationGraph* graph_;
 };
 
 }  // namespace epea::prove

@@ -1,7 +1,8 @@
-// Semantic placement verifier (src/prove/): hand-computed dominator and
-// cut oracles on small shaped graphs, and the structural properties the
-// subsystem promises system-wide — prover path-existence agrees with the
-// analytic engine's positive reach, and every emitted cut certificate
+// Semantic placement verifier (src/prove/) over the shared
+// epic::PropagationGraph: hand-computed dominator and cut oracles on small
+// shaped graphs, and the structural properties the subsystem promises
+// system-wide — graph reach agrees with brute-force path enumeration and
+// the analytic engine's positive reach, and every emitted cut certificate
 // re-validates from its own serialized facts — over a seeded synth corpus.
 #include <gtest/gtest.h>
 
@@ -10,18 +11,35 @@
 #include <string>
 #include <vector>
 
+#include "analysis/matrix_lint.hpp"
 #include "analytic/validate.hpp"
+#include "epic/graph.hpp"
 #include "model/builder.hpp"
+#include "prove/certificate.hpp"
 #include "prove/dominators.hpp"
-#include "prove/graph.hpp"
 #include "prove/prover.hpp"
 #include "synth/generator.hpp"
 
 namespace epea::prove {
 namespace {
 
+using epic::PropagationGraph;
+
 std::uint32_t idx(const model::SystemModel& m, const std::string& name) {
     return static_cast<std::uint32_t>(m.signal_id(name).index());
+}
+
+/// Structure-only graph: every module input/output pair may propagate.
+PropagationGraph structural(const model::SystemModel& m) {
+    return PropagationGraph(epic::uniform_matrix(m, 1.0));
+}
+
+/// True when the permeable edges hold u -> t.
+bool has_permeable_edge(const PropagationGraph& g, std::uint32_t u, std::uint32_t t) {
+    const auto row = g.out_edges(u);
+    return std::any_of(row.begin(), row.end(), [t](const epic::GraphEdge& e) {
+        return e.to == t && e.permeable();
+    });
 }
 
 /// in -> {a, b} -> out: the smallest reconvergent diamond.
@@ -54,7 +72,7 @@ model::SystemModel two_cycle() {
 
 TEST(Dominators, DiamondOracle) {
     const model::SystemModel m = diamond();
-    const SignalGraph g = SignalGraph::from_model(m);
+    const PropagationGraph g = structural(m);
     const DominatorTree dom = DominatorTree::dominators(g);
 
     // Every input->out path crosses in; neither diamond arm dominates.
@@ -82,7 +100,7 @@ TEST(Dominators, ReconvergentFanInFromTwoInputs) {
     b.module("Drive").in("m").out("out");
     const model::SystemModel sys = b.build();
 
-    const SignalGraph g = SignalGraph::from_model(sys);
+    const PropagationGraph g = structural(sys);
     const DominatorTree dom = DominatorTree::dominators(g);
     // Neither input dominates m (the other one suffices), so m hangs off
     // the virtual root; m itself is a mandatory waypoint for out.
@@ -93,7 +111,7 @@ TEST(Dominators, ReconvergentFanInFromTwoInputs) {
 
 TEST(Dominators, TwoCycleScc) {
     const model::SystemModel m = two_cycle();
-    const SignalGraph g = SignalGraph::from_model(m);
+    const PropagationGraph g = structural(m);
 
     // The cycle u <-> v is real in the graph...
     const Prover prover(g);
@@ -116,30 +134,68 @@ TEST(Graph, MatrixGatesEdgesAndDropsSelfLoops) {
     model::SystemBuilder b;
     b.input("in", model::SignalKind::kContinuous, 8);
     b.intermediate("acc", model::SignalKind::kContinuous, 8);
+    b.intermediate("fb", model::SignalKind::kContinuous, 8);
     b.output("out", model::SignalKind::kContinuous, 8);
-    b.module("Int").in("in").in("acc").out("acc");  // acc -> acc self pair
+    b.module("Int").in("in").in("acc").in("fb").out("acc");  // acc -> acc self pair
     b.module("Drive").in("acc").out("out");
+    b.module("Leak").in("acc").out("fb");  // closes the acc -> fb -> acc cycle
     const model::SystemModel sys = b.build();
 
-    // Structure-only: in->acc and acc->out, never acc->acc.
-    const SignalGraph structural = SignalGraph::from_model(sys);
-    EXPECT_EQ(structural.edge_count(), 2U);
+    // Structure-only: in->acc, fb->acc, acc->out, acc->fb; never acc->acc.
+    EXPECT_EQ(structural(sys).edge_count(), 4U);
 
-    // Matrix-gated: zeroed cells carry no edge.
+    // Matrix-gated: zeroed cells carry no edge. Leak's cell was measured
+    // with no hit in 40 runs: point 0, Wilson upper bound above 0, so it
+    // is an edge the engine composes but no error has been seen to cross.
     epic::PermeabilityMatrix pm(sys);
     pm.set("Int", "in", "acc", 0.8);
     pm.set("Int", "acc", "acc", 1.0);  // self loop, always excluded
+    pm.set("Int", "fb", "acc", 1.0);
     pm.set("Drive", "acc", "out", 0.0);
-    const SignalGraph gated = SignalGraph::from_matrix(pm);
-    EXPECT_EQ(gated.edge_count(), 1U);
+    pm.set_counts("Leak", "acc", "fb", 0, 40);
+    const PropagationGraph gated(pm);
+    EXPECT_EQ(gated.edge_count(), 3U);
+    const auto leak = gated.out_edges(idx(sys, "acc"));
+    ASSERT_EQ(leak.size(), 1U);
+    EXPECT_EQ(leak[0].to, idx(sys, "fb"));
+    EXPECT_FALSE(leak[0].permeable());
+    EXPECT_GT(leak[0].weight.hi, 0.0);
+
+    // The zero-hit cell adds no prover reach...
     const Prover prover(gated);
     EXPECT_FALSE(prover.path_exists(idx(sys, "in"), idx(sys, "out")));
     EXPECT_TRUE(prover.path_exists(idx(sys, "in"), idx(sys, "acc")));
+    EXPECT_FALSE(prover.path_exists(idx(sys, "acc"), idx(sys, "fb")));
+    EXPECT_FALSE(prover.path_exists(idx(sys, "in"), idx(sys, "fb")));
+
+    // ...no certificate edge...
+    const util::JsonValue cert = graph_json(gated, SiteModel::kInput);
+    const std::string edges = cert.as_object().at("edges").dump();
+    EXPECT_EQ(edges, R"([["in","acc"],["fb","acc"]])");
+
+    // ...closes no lint cycle, even at a threshold one hit in 40 clears...
+    analysis::MatrixLintOptions any_cycle;
+    any_cycle.feedback_warn = 1e-9;
+    const auto cycle_found = [&any_cycle](const epic::PermeabilityMatrix& m) {
+        const analysis::Report r = analysis::lint_matrix(m, "matrix:gated", any_cycle);
+        return r.has("EPEA-W033") || r.has("EPEA-E034");
+    };
+    EXPECT_FALSE(cycle_found(pm));
+    epic::PermeabilityMatrix hit = pm;
+    hit.set_counts("Leak", "acc", "fb", 1, 40);
+    EXPECT_TRUE(cycle_found(hit));
+
+    // ...and the engine's point reach is 0 while its upper bound is not.
+    const analytic::Engine engine(pm);
+    const analytic::Bound fb = engine.permeability(sys.signal_id("in"), sys.signal_id("fb"));
+    EXPECT_EQ(fb.point, 0.0);
+    EXPECT_GT(fb.hi, 0.0);
+    EXPECT_EQ(analytic::exactness_check(pm).mismatches, 0U);
 }
 
 TEST(Prover, DiamondCutCertificateAndWitness) {
     const model::SystemModel m = diamond();
-    const SignalGraph g = SignalGraph::from_model(m);
+    const PropagationGraph g = structural(m);
     const Prover prover(g);
 
     // {a, b} separates in from out: certificate, site-free reach sets.
@@ -176,7 +232,7 @@ TEST(Prover, DisconnectedOutputSeparatesTrivially) {
     pm.set("M1", "in", "mid", 0.9);
     pm.set("M2", "mid", "out1", 0.9);
     pm.set("M3", "mid", "out2", 0.0);  // out2 unreachable
-    const SignalGraph g = SignalGraph::from_matrix(pm);
+    const PropagationGraph g(pm);
 
     const DominatorTree dom = DominatorTree::dominators(g);
     EXPECT_TRUE(dom.reachable(idx(sys, "out1")));
@@ -212,7 +268,7 @@ TEST(Prover, UnwitnessedAndMutualShadowing) {
     pm.set("M2", "x", "y", 0.5);
     pm.set("M3", "y", "out", 0.5);
     pm.set("Side", "in", "w", 0.0);  // w cut off from every error
-    const SignalGraph g = SignalGraph::from_matrix(pm);
+    const PropagationGraph g(pm);
     const Prover prover(g);
 
     const PlacementCheck check = prover.check(
@@ -239,7 +295,7 @@ TEST(Prover, UnwitnessedAndMutualShadowing) {
 
 TEST(Prover, WitnessSetsMatchReflexiveReach) {
     const model::SystemModel m = diamond();
-    const SignalGraph g = SignalGraph::from_model(m);
+    const PropagationGraph g = structural(m);
     const Prover prover(g);
     const auto sets = prover.witness_sets(
         {m.signal_id("a"), m.signal_id("out")}, SiteModel::kInput);
@@ -250,8 +306,8 @@ TEST(Prover, WitnessSetsMatchReflexiveReach) {
 }
 
 // The subsystem's two global contracts, over a seeded synth corpus:
-//  1. exactness — prover path-existence iff engine reach > 0 (the same
-//     predicate analytic::validate gates in CI);
+//  1. exactness — graph reach iff an enumerated simple path exists iff
+//     engine reach > 0 (the predicate analytic::validate gates in CI);
 //  2. certificates re-validate — every cut certificate's reach sets are
 //     site-free and closed under reverse edges through non-cut vertices,
 //     and every witness path is a real EA-free site->output path.
@@ -268,7 +324,7 @@ TEST(Prover, PropertySweepExactnessAndCertificates) {
         const analytic::ExactnessCheck exact =
             analytic::exactness_check(sys.matrix);
         EXPECT_EQ(exact.mismatches, 0U)
-            << "seed " << lopt.seed << ": engine/prover reachability drift at "
+            << "seed " << lopt.seed << ": graph/enumerator/engine reachability drift at "
             << exact.worst.source << " -> " << exact.worst.observer;
 
         // Place an EA on every third intermediate signal and check the
@@ -280,7 +336,7 @@ TEST(Prover, PropertySweepExactnessAndCertificates) {
         for (std::size_t k = 0; k < intermediates.size(); k += 3) {
             placement.push_back(intermediates[k]);
         }
-        const SignalGraph g = SignalGraph::from_matrix(sys.matrix);
+        const PropagationGraph g(sys.matrix);
         const Prover prover(g);
         const CutResult cut = prover.cut_check(placement, SiteModel::kInput);
 
@@ -301,13 +357,16 @@ TEST(Prover, PropertySweepExactnessAndCertificates) {
                 if (sep.in_cut) continue;
                 // Closure: an edge u->t with t in the reach set and u
                 // outside the cut forces u into the reach set.
-                for (const auto& [u, t] : g.edges()) {
-                    const std::string un = m.signal_name(model::SignalId{u});
-                    const std::string tn = m.signal_name(model::SignalId{t});
-                    if (reach.contains(tn) && !cut_set.contains(un)) {
-                        EXPECT_TRUE(reach.contains(un))
-                            << "seed " << lopt.seed << ": reach set of "
-                            << sep.output << " not closed at " << un;
+                for (std::uint32_t u = 0; u < g.node_count(); ++u) {
+                    for (const epic::GraphEdge& e : g.out_edges(u)) {
+                        if (!e.permeable()) continue;
+                        const std::string un = m.signal_name(model::SignalId{u});
+                        const std::string tn = m.signal_name(model::SignalId{e.to});
+                        if (reach.contains(tn) && !cut_set.contains(un)) {
+                            EXPECT_TRUE(reach.contains(un))
+                                << "seed " << lopt.seed << ": reach set of "
+                                << sep.output << " not closed at " << un;
+                        }
                     }
                 }
             }
@@ -326,11 +385,8 @@ TEST(Prover, PropertySweepExactnessAndCertificates) {
             for (std::size_t k = 0; k + 1 < cut.witness_path.size(); ++k) {
                 const auto from = m.signal_id(cut.witness_path[k]);
                 const auto to = m.signal_id(cut.witness_path[k + 1]);
-                const auto& succ =
-                    g.succ(static_cast<std::uint32_t>(from.index()));
-                EXPECT_TRUE(std::find(succ.begin(), succ.end(),
-                                      static_cast<std::uint32_t>(to.index())) !=
-                            succ.end())
+                EXPECT_TRUE(has_permeable_edge(g, static_cast<std::uint32_t>(from.index()),
+                                               static_cast<std::uint32_t>(to.index())))
                     << "seed " << lopt.seed << ": phantom edge "
                     << cut.witness_path[k] << " -> " << cut.witness_path[k + 1];
             }

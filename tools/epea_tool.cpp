@@ -64,6 +64,7 @@
 #include "fi/batch.hpp"
 #include "fi/fastpath.hpp"
 #include "obs/manifest.hpp"
+#include "epic/graph.hpp"
 #include "epic/impact.hpp"
 #include "epic/measures.hpp"
 #include "epic/paths.hpp"
@@ -1207,10 +1208,13 @@ int cmd_check(const std::vector<std::string>& args) {
             pm = std::make_unique<epic::PermeabilityMatrix>(
                 exp::paper_matrix(system));
         }
-        const prove::SignalGraph graph =
-            pm ? prove::SignalGraph::from_matrix(*pm)
-               : prove::SignalGraph::from_model(system);
         const std::string graph_source = pm ? "matrix" : "structure";
+        // Without a matrix every structural pair may propagate.
+        if (!pm) {
+            pm = std::make_unique<epic::PermeabilityMatrix>(
+                epic::uniform_matrix(system, 1.0));
+        }
+        const epic::PropagationGraph graph(*pm);
 
         // Placement: a reference-set label, an explicit comma list, or —
         // by default — every EA-carrying candidate signal of the model.

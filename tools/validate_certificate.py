@@ -4,9 +4,7 @@
 Two passes per document:
 
  1. Shape — validate against schemas/certificate.schema.json with the
-    same stdlib JSON-Schema subset validate_bench.py implements (type /
-    const / enum / required / properties / additionalProperties / items /
-    minItems / maxItems / local $ref).
+    stdlib JSON-Schema subset in schema_subset.py (same directory).
 
  2. Semantics — rebuild the serialized signal graph and independently
     re-derive every claim the prover made:
@@ -35,66 +33,7 @@ import sys
 from collections import deque
 from pathlib import Path
 
-
-def type_ok(value, expected):
-    if expected == "object":
-        return isinstance(value, dict)
-    if expected == "array":
-        return isinstance(value, list)
-    if expected == "string":
-        return isinstance(value, str)
-    if expected == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if expected == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if expected == "boolean":
-        return isinstance(value, bool)
-    raise ValueError(f"unsupported schema type {expected!r}")
-
-
-def resolve_ref(ref, root):
-    if not ref.startswith("#/"):
-        raise ValueError(f"only local refs supported, got {ref!r}")
-    node = root
-    for part in ref[2:].split("/"):
-        node = node[part]
-    return node
-
-
-def validate_schema(value, schema, root, path, errors):
-    if "$ref" in schema:
-        validate_schema(value, resolve_ref(schema["$ref"], root), root, path, errors)
-
-    expected_type = schema.get("type")
-    if expected_type is not None and not type_ok(value, expected_type):
-        errors.append(f"{path}: expected {expected_type}, got {type(value).__name__}")
-        return
-    if "const" in schema and value != schema["const"]:
-        errors.append(f"{path}: expected const {schema['const']!r}, got {value!r}")
-    if "enum" in schema and value not in schema["enum"]:
-        errors.append(f"{path}: {value!r} not in {schema['enum']}")
-    if isinstance(value, dict):
-        for key in schema.get("required", []):
-            if key not in value:
-                errors.append(f"{path}: missing required key {key!r}")
-        props = schema.get("properties", {})
-        extra = schema.get("additionalProperties", True)
-        for key, sub in value.items():
-            if key in props:
-                validate_schema(sub, props[key], root, f"{path}.{key}", errors)
-            elif isinstance(extra, dict):
-                validate_schema(sub, extra, root, f"{path}.{key}", errors)
-            elif extra is False:
-                errors.append(f"{path}: unexpected key {key!r}")
-    if isinstance(value, list):
-        if "minItems" in schema and len(value) < schema["minItems"]:
-            errors.append(f"{path}: fewer than {schema['minItems']} items")
-        if "maxItems" in schema and len(value) > schema["maxItems"]:
-            errors.append(f"{path}: more than {schema['maxItems']} items")
-        items = schema.get("items")
-        if isinstance(items, dict):
-            for i, sub in enumerate(value):
-                validate_schema(sub, items, root, f"{path}[{i}]", errors)
+from schema_subset import validate
 
 
 class Graph:
@@ -260,7 +199,7 @@ def main(argv):
             failures += 1
             continue
         errors = []
-        validate_schema(doc, schema, schema, "$", errors)
+        validate(doc, schema, "$", errors)
         if not errors:
             errors = semantic_errors(doc)
         for e in errors:

@@ -3,7 +3,7 @@
 
 Both schema files are definitions-keyed: one named definition per
 endpoint body. This wrapper picks the definition and delegates to the
-stdlib mini-validator in validate_manifest.py (same directory), so CI
+stdlib JSON-Schema subset in schema_subset.py (same directory), so CI
 needs no third-party JSON-Schema package.
 
 Usage: validate_serve_api.py {request|response} DEFINITION BODY.json
@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from validate_manifest import validate
+from schema_subset import validate
 
 
 def main(argv):

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Validate a ground-truth subset cache against schemas/subset_cache.schema.json.
 
-Reuses the stdlib JSON-Schema subset from validate_manifest.py, then adds
+Checks the schema with the stdlib JSON-Schema subset in schema_subset.py,
+then adds
 the cross-field checks a schema cannot express (and which the C++ lint
 reports as EPEA-W061): detected <= active, coverage <= 1, and coverage
 consistent with detected/active to float noise.
@@ -14,8 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from validate_manifest import validate  # noqa: E402
+from schema_subset import validate
 
 
 def check_entries(cache, errors):

@@ -9,9 +9,8 @@ campaigns append), timestamps are non-decreasing per segment, the worker
 set never changes mid-segment, and per-worker runs counters never
 decrease. A torn final line from a killed sampler is tolerated.
 
-Stdlib-only implementation of the JSON-Schema subset the timeline schema
-uses (type / const / enum / required / properties / additionalProperties /
-items / minimum / maximum), so CI needs no third-party validator.
+The per-line schema is checked by the stdlib JSON-Schema subset in
+schema_subset.py (same directory), so CI needs no third-party validator.
 
 Usage: validate_timeline.py TIMELINE.jsonl [SCHEMA.json]
 Exit code 0 when valid; 1 with one line per violation otherwise.
@@ -21,55 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-
-def type_ok(value, expected):
-    if expected == "object":
-        return isinstance(value, dict)
-    if expected == "array":
-        return isinstance(value, list)
-    if expected == "string":
-        return isinstance(value, str)
-    if expected == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if expected == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if expected == "boolean":
-        return isinstance(value, bool)
-    raise ValueError(f"unsupported schema type {expected!r}")
-
-
-def validate(value, schema, path, errors):
-    expected_type = schema.get("type")
-    if expected_type is not None and not type_ok(value, expected_type):
-        errors.append(f"{path}: expected {expected_type}, got {type(value).__name__}")
-        return
-    if "const" in schema and value != schema["const"]:
-        errors.append(f"{path}: expected const {schema['const']!r}, got {value!r}")
-    if "enum" in schema and value not in schema["enum"]:
-        errors.append(f"{path}: {value!r} not in {schema['enum']}")
-    if "minimum" in schema and isinstance(value, (int, float)):
-        if value < schema["minimum"]:
-            errors.append(f"{path}: {value} below minimum {schema['minimum']}")
-    if "maximum" in schema and isinstance(value, (int, float)):
-        if value > schema["maximum"]:
-            errors.append(f"{path}: {value} above maximum {schema['maximum']}")
-
-    if isinstance(value, dict):
-        for key in schema.get("required", []):
-            if key not in value:
-                errors.append(f"{path}: missing required key {key!r}")
-        properties = schema.get("properties", {})
-        for key, sub in properties.items():
-            if key in value:
-                validate(value[key], sub, f"{path}.{key}", errors)
-        if schema.get("additionalProperties", True) is False:
-            for key in value:
-                if key not in properties:
-                    errors.append(f"{path}: unexpected key {key!r}")
-
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            validate(item, schema["items"], f"{path}[{i}]", errors)
+from schema_subset import validate
 
 
 def check_stream(samples, errors):
