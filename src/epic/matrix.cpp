@@ -37,10 +37,11 @@ double PermeabilityMatrix::get(model::ModuleId m, std::uint32_t in_port,
 
 void PermeabilityMatrix::set(model::ModuleId m, std::uint32_t in_port,
                              std::uint32_t out_port, double value) {
-    if (value < 0.0 || value > 1.0) {
+    if (!(value >= 0.0 && value <= 1.0)) {  // NaN fails both comparisons
         throw std::invalid_argument("permeability must be in [0,1]");
     }
-    cell(m, in_port, out_port).value = value;
+    // A set value replaces any earlier estimate, counts included.
+    cell(m, in_port, out_port) = Cell{value, 0, 0};
 }
 
 void PermeabilityMatrix::set_counts(model::ModuleId m, std::uint32_t in_port,

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+
+#include "analytic/validate.hpp"
 #include "epic/matrix.hpp"
+#include "epic/serialize.hpp"
 #include "exp/paper_data.hpp"
 #include "target/arrestment_system.hpp"
 
@@ -39,6 +44,38 @@ TEST(Matrix, RejectsBadValues) {
     MatrixFixture f;
     EXPECT_THROW(f.pm.set("CALC", "pulscnt", "i", -0.1), std::invalid_argument);
     EXPECT_THROW(f.pm.set("CALC", "pulscnt", "i", 1.1), std::invalid_argument);
+}
+
+TEST(Matrix, RejectsNaN) {
+    MatrixFixture f;
+    EXPECT_THROW(f.pm.set("CALC", "pulscnt", "i", std::nan("")), std::invalid_argument);
+    std::istringstream csv("module,in,out,value,affected,active\n"
+                           "CALC,pulscnt,i,nan,0,0\n");
+    EXPECT_THROW((void)load_matrix_csv(csv, f.system), std::invalid_argument);
+}
+
+// A set value replaces an earlier estimate outright: the counts the graph
+// and the engine read must not outlive the value they produced.
+TEST(Matrix, SetClearsEarlierCounts) {
+    MatrixFixture f;
+    PermeabilityMatrix pm = exp::paper_matrix(f.system);
+    const auto calc = f.system.module_id("CALC");
+    pm.set_counts(calc, 2, 0, 5, 10);
+    pm.set(calc, 2, 0, 0.0);
+    EXPECT_EQ(pm.get(calc, 2, 0), 0.0);
+    EXPECT_EQ(pm.counts(calc, 2, 0).trials, 0U);
+    EXPECT_EQ(analytic::exactness_check(pm).mismatches, 0U);
+}
+
+// A duplicate CSV row reaches the same state through the loader.
+TEST(Matrix, DuplicateCsvRowReplacesCounts) {
+    MatrixFixture f;
+    std::istringstream csv("module,in,out,value,affected,active\n"
+                           "CALC,pulscnt,i,0.5,5,10\n"
+                           "CALC,pulscnt,i,0,0,0\n");
+    const PermeabilityMatrix pm = load_matrix_csv(csv, f.system);
+    EXPECT_EQ(pm.get("CALC", "pulscnt", "i"), 0.0);
+    EXPECT_EQ(pm.counts(f.system.module_id("CALC"), 2, 0).trials, 0U);
 }
 
 TEST(Matrix, RejectsUnknownPairs) {
