@@ -1,6 +1,7 @@
 #include "synth/generator.hpp"
 
 #include <bit>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +14,18 @@ SyntheticSystem random_layered_system(const LayeredOptions& options) {
         options.inputs_per_module == 0 || options.outputs_per_module == 0) {
         throw std::invalid_argument("random_layered_system: empty dimensions");
     }
+    // The signal count, the input boundary plus one boundary per layer,
+    // must fit a size_t, so no size below (nor `layers + 1`) can wrap.
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    const std::size_t m = options.modules_per_layer;
+    if (options.inputs_per_module > kMax / m || options.outputs_per_module > kMax / m ||
+        options.layers > kMax / (m * options.outputs_per_module) ||
+        options.layers * (m * options.outputs_per_module) >
+            kMax - m * options.inputs_per_module) {
+        throw std::invalid_argument("random_layered_system: dimensions overflow");
+    }
+    const std::size_t first_width = m * options.inputs_per_module;
+    const std::size_t width = m * options.outputs_per_module;
     util::Rng rng(options.seed);
     auto system_ptr = std::make_unique<model::SystemModel>();
     model::SystemModel& system = *system_ptr;
@@ -20,7 +33,6 @@ SyntheticSystem random_layered_system(const LayeredOptions& options) {
     // Layer-boundary signals: boundary[l] feeds layer l's modules.
     std::vector<std::vector<model::SignalId>> boundary(options.layers + 1);
 
-    const std::size_t first_width = options.modules_per_layer * options.inputs_per_module;
     for (std::size_t s = 0; s < first_width; ++s) {
         boundary[0].push_back(system.add_signal(model::SignalSpec{
             "in_" + std::to_string(s), model::SignalRole::kSystemInput,
@@ -28,7 +40,6 @@ SyntheticSystem random_layered_system(const LayeredOptions& options) {
     }
     for (std::size_t l = 1; l <= options.layers; ++l) {
         const bool last = l == options.layers;
-        const std::size_t width = options.modules_per_layer * options.outputs_per_module;
         for (std::size_t s = 0; s < width; ++s) {
             const std::string name = (last ? "out_" : "sig_" + std::to_string(l) + "_") +
                                      std::to_string(s);

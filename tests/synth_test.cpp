@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "epic/measures.hpp"
 #include "synth/generator.hpp"
 
@@ -86,6 +88,19 @@ TEST(LayeredGenerator, EdgeDensityZeroGivesEmptyMatrix) {
 TEST(LayeredGenerator, RejectsDegenerateDimensions) {
     LayeredOptions options;
     options.layers = 0;
+    EXPECT_THROW((void)random_layered_system(options), std::invalid_argument);
+}
+
+TEST(LayeredGenerator, RejectsDimensionsThatOverflow) {
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    LayeredOptions options;
+    options.layers = kMax;  // layers + 1 boundaries would wrap to 0
+    EXPECT_THROW((void)random_layered_system(options), std::invalid_argument);
+    options = LayeredOptions{};
+    options.modules_per_layer = kMax / 2 + 1;  // times 2 ports wraps
+    EXPECT_THROW((void)random_layered_system(options), std::invalid_argument);
+    options = LayeredOptions{};
+    options.outputs_per_module = kMax / 6;  // fits one layer, not all 4
     EXPECT_THROW((void)random_layered_system(options), std::invalid_argument);
 }
 

@@ -49,3 +49,21 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(cyc_diff EQUAL 0)
   message(FATAL_ERROR "cycle-density 1.0 left the wiring unchanged")
 endif()
+
+# Shape flags are plain counts: a wide layer and a large fan-in are valid
+# shapes, and a shape whose signal count overflows is refused by the
+# generator (exit 1) instead of crashing.
+foreach(shape "--width;1500;--layers;1;--fan-in;1;--fan-out;1"
+              "--fan-in;200;--width;2;--layers;1")
+  execute_process(COMMAND ${TOOL} synth ${shape} --out ${WORKDIR}/synth_big.txt
+                  RESULT_VARIABLE rc_big ERROR_VARIABLE err_big)
+  if(NOT rc_big EQUAL 0)
+    message(FATAL_ERROR "synth ${shape} failed: ${rc_big}\n${err_big}")
+  endif()
+endforeach()
+execute_process(COMMAND ${TOOL} synth --layers 18446744073709551615
+                RESULT_VARIABLE rc_wrap ERROR_VARIABLE err_wrap OUTPUT_QUIET)
+if(NOT rc_wrap EQUAL 1 OR NOT err_wrap MATCHES "overflow")
+  message(FATAL_ERROR "synth --layers 2^64-1: exit '${rc_wrap}', expected 1 "
+                      "naming the overflow\n${err_wrap}")
+endif()
