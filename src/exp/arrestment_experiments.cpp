@@ -258,9 +258,12 @@ SevereCoverageResult severe_coverage_experiment(target::ArrestmentSystem& sys,
 
     // Periodic plans re-perturb the state every `severe_period` ticks, so
     // convergence pruning is unsound and forking to tick 10 saves almost
-    // nothing against the cost of capturing boundary snapshots: the severe
-    // model runs on the reference slow path (DESIGN.md §9), and only the
-    // golden trace for EA calibration comes from the shared cache.
+    // nothing against the cost of capturing boundary snapshots: no
+    // snapshot golden is captured, and only the golden trace for EA
+    // calibration comes from the shared cache. With the batch kernel on,
+    // the runs ride periodic lanes forked from one start snapshot
+    // (DESIGN.md §14); otherwise they take the reference slow path. The
+    // front restores each run's monitors and plant state for the tally.
     fi::CaseRunner front(sys.sim(), injector, options, fi::CaseRunner::Mode::kCoverage);
     const auto tally = [&](std::size_t w, const fi::BatchOutcome&) {
         const runtime::Region region = sys.sim().memory().word(w).region;

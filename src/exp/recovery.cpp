@@ -29,13 +29,15 @@ RecoveryResult recovery_experiment(target::ArrestmentSystem& sys,
     const std::size_t word_count = sys.sim().memory().word_count();
 
     // Like the severe model, the recovery experiment injects periodic
-    // plans, so it runs on the reference slow path (DESIGN.md §9); only
-    // the golden trace for wrapper calibration is shared through the cache.
+    // plans, which need no snapshot golden; only the golden trace for
+    // wrapper calibration is shared through the cache. The detection-only
+    // half of each case rides periodic batch lanes (DESIGN.md §14); the
+    // fused kernel declines armed recoverers, so the ERM half runs scalar.
     fi::CaseRunner front(sys.sim(), injector, options, fi::CaseRunner::Mode::kCoverage);
 
     for (std::size_t c = case_first; c < case_first + case_count; ++c) {
         // Global-case-index keying, as in severe_coverage_experiment.
-        std::uint64_t seed = 0xeca4e1ULL + static_cast<std::uint64_t>(c) * word_count;
+        const std::uint64_t seed = 0xeca4e1ULL + static_cast<std::uint64_t>(c) * word_count;
         sys.configure(cases[c]);
         injector.disarm();
         sys.sim().clear_recoverers();
@@ -58,30 +60,30 @@ RecoveryResult recovery_experiment(target::ArrestmentSystem& sys,
             }
         }
 
-        // Each location twice with identical flips: detection-only
-        // baseline, then with the recovery wrappers armed.
+        // Each location twice with identical flips: one flush of the
+        // detection-only baseline runs, then one with the recovery
+        // wrappers armed. The front leaves each run's end state in the
+        // plant (and, on the scalar path, the bank) during its tally.
         front.begin_case(nullptr, options.max_ticks);
-        for (std::size_t w = 0; w < word_count; ++w) {
-            ++seed;
-            ++result.runs;
-            for (const bool with_erm : {false, true}) {
-                if (with_erm) bank.arm(sys.sim());
+        for (const bool with_erm : {false, true}) {
+            if (with_erm) bank.arm(sys.sim());
+            for (std::size_t w = 0; w < word_count; ++w) {
                 front.submit({fi::Injection::into_memory(w, fi::kRandomBit, 10,
                                                          options.severe_period)},
-                             seed);
-                // A scalar run leaves its end state in the plant and bank.
-                front.flush([&](std::size_t, const fi::BatchOutcome&) {
-                    const bool failed = sys.plant().failure_report().failed();
-                    if (!with_erm) {
-                        if (failed) ++result.failures_baseline;
-                        return;
-                    }
-                    if (failed) ++result.failures_with_erm;
-                    result.repairs += bank.total_repairs();
-                });
+                             seed + 1 + w);
             }
-            sys.sim().clear_recoverers();
+            front.flush([&](std::size_t, const fi::BatchOutcome&) {
+                const bool failed = sys.plant().failure_report().failed();
+                if (!with_erm) {
+                    ++result.runs;
+                    if (failed) ++result.failures_baseline;
+                    return;
+                }
+                if (failed) ++result.failures_with_erm;
+                result.repairs += bank.total_repairs();
+            });
         }
+        sys.sim().clear_recoverers();
     }
     sys.sim().enable_trace(true);
     if (options.fastpath_out) options.fastpath_out->merge(front.stats());

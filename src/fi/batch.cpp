@@ -34,41 +34,68 @@ std::uint32_t BatchRunner::add_seal_rule(SealRule rule) {
     return static_cast<std::uint32_t>(seal_rules_.size() - 1);
 }
 
-std::size_t BatchRunner::submit(const Injection& injection, std::uint32_t seal) {
-    if (injection.period != 0 || injection.bit == kRandomBit) {
-        throw std::invalid_argument(
-            "BatchRunner: only deterministic one-shot plans are batchable");
-    }
+bool BatchRunner::begin_periodic(runtime::Tick max_ticks) {
+    periodic_max_ticks_ = 0;
+    if (max_ticks == 0 || !sim_->snapshot_supported()) return false;
+    sim_->reset();
+    sim_->capture_snapshot(start_);
+    periodic_max_ticks_ = max_ticks;
+    runtime::BatchBackend* backend = sim_->batch_backend();
+    state_.reset(runtime::SnapshotLayout::of(start_), 1);
+    return backend != nullptr && backend->begin(state_);
+}
+
+std::size_t BatchRunner::submit(const Injection& injection, std::uint32_t seal,
+                                std::uint64_t seed) {
     if (seal != kNoSeal && seal >= seal_rules_.size()) {
         throw std::invalid_argument("BatchRunner: unknown seal rule handle");
     }
+    if (injection.period != 0 && (mode_ != Mode::kCoverage || seal != kNoSeal)) {
+        // Re-flips keep changing the state, so no seal is ever decided and
+        // permeability's common-prefix attribution has no end to stop at.
+        throw std::invalid_argument(
+            "BatchRunner: periodic plans run only as unsealed coverage lanes");
+    }
+    if (injection.bit == kRandomBit && injection.kind != Injection::Kind::kMemoryWord) {
+        throw std::invalid_argument("BatchRunner: random bits are drawn for memory words only");
+    }
+    const unsigned width =
+        injection.bit == kRandomBit ? sim_->memory().word(injection.word_index).width : 0;
     const std::size_t ticket = outcomes_.size();
     outcomes_.emplace_back();
-    pending_.push_back(Pending{ticket, seal, injection});
+    pending_.push_back(Pending{ticket, seal, seed, width, injection});
     return ticket;
 }
 
 void BatchRunner::flush() {
     if (pending_.empty()) return;
-    if (!golden_ || !golden_->has_snapshots() || !sim_->snapshot_supported()) {
+    // Periodic lanes first, in submission order (they all fork at tick 0);
+    // then one-shot lanes grouped by injection tick, so lanes of one batch
+    // fork from nearby boundary snapshots and the sweep's tick span — and
+    // with it the idle-lane waste — stays small. Stable order keeps
+    // equal-t0 lanes in submission order. A batch never mixes the two.
+    const auto one_shot = std::stable_partition(
+        pending_.begin(), pending_.end(), [](const Pending& p) { return p.inj.period != 0; });
+    std::stable_sort(one_shot, pending_.end(),
+                     [](const Pending& a, const Pending& b) { return a.inj.at < b.inj.at; });
+    const auto periodic_count = static_cast<std::size_t>(one_shot - pending_.begin());
+    if (periodic_count != 0 && periodic_max_ticks_ == 0) {
+        throw std::runtime_error("BatchRunner: periodic plans without begin_periodic()");
+    }
+    if (periodic_count != pending_.size() &&
+        (!golden_ || !golden_->has_snapshots() || !sim_->snapshot_supported())) {
         throw std::runtime_error("BatchRunner: flush without batch-ready golden data");
     }
     EPEA_OBS_SAMPLED_SPAN(span, "fi.batch_flush");
-    const runtime::Tick len = golden_->run.length;
-    const std::size_t signal_count = golden_->run.trace.signal_count();
 
-    // Group by injection tick: lanes of one batch fork from nearby
-    // boundary snapshots, so the sweep's tick span — and with it the
-    // idle-lane waste — stays small. Stable order keeps equal-t0 lanes
-    // in submission order.
-    std::stable_sort(pending_.begin(), pending_.end(),
-                     [](const Pending& a, const Pending& b) { return a.inj.at < b.inj.at; });
-
-    // Injections at or beyond the golden end never fire: the run equals
-    // the golden run outright (scalar skip path).
+    // One-shot injections at or beyond the golden end never fire: the
+    // run equals the golden run outright (scalar skip path).
     std::vector<Pending> live;
     live.reserve(pending_.size());
-    for (const Pending& p : pending_) {
+    live.insert(live.end(), pending_.begin(), one_shot);
+    for (auto it = one_shot; it != pending_.end(); ++it) {
+        const Pending& p = *it;
+        const runtime::Tick len = golden_->run.length;
         if (p.inj.at < len) {
             live.push_back(p);
             continue;
@@ -79,9 +106,10 @@ void BatchRunner::flush() {
         out.finished = golden_->run.finished;
         out.pruned = false;
         if (mode_ == Mode::kPermeability) {
-            out.first_diff.assign(signal_count, runtime::kInvalidTick);
+            out.first_diff.assign(golden_->run.trace.signal_count(), runtime::kInvalidTick);
         } else {
             out.monitors = golden_->boundary[len].monitors;
+            out.environment = golden_->boundary[len].environment;
         }
         ++stats_.skipped_runs;
         stats_.ticks_saved += len;
@@ -96,24 +124,40 @@ void BatchRunner::flush() {
     sim_->enable_trace(false);
 
     const std::size_t width = effective_width();
-    for (std::size_t first = 0; first < live.size(); first += width) {
+    for (std::size_t first = 0; first < live.size();) {
         StopScope::check();
-        run_batch(live.data() + first, std::min(width, live.size() - first));
+        const std::size_t group_end = first < periodic_count ? periodic_count : live.size();
+        const std::size_t count = std::min(width, group_end - first);
+        run_batch(live.data() + first, count);
+        first += count;
     }
 
     sim_->enable_trace(had_trace);
 }
 
+void BatchRunner::launch(std::size_t lane, runtime::Tick now) {
+    Schedule& sch = schedules_[lane];
+    runtime::BatchFlip flip = sch.flip;
+    // Injector::pick_bit's draw: one per firing, from the run's seed.
+    if (flip.bit == kRandomBit) flip.bit = static_cast<unsigned>(sch.rng.below(sch.width));
+    state_.set_launch(lane, flip);
+    sch.next = now + sch.period;
+}
+
 void BatchRunner::run_batch(const Pending* batch, std::size_t count) {
-    const runtime::Tick max_ticks = golden_->max_ticks;
-    const runtime::Tick len = golden_->run.length;
-    const auto& boundary = golden_->boundary;
-    const runtime::Trace& gtrace = golden_->run.trace;
-    const std::size_t signal_count = gtrace.signal_count();
+    // A periodic batch forks every lane from the start snapshot and never
+    // compares against a golden run; a one-shot batch forks from, probes
+    // against and prunes to the golden boundary snapshots.
+    const bool periodic = batch[0].inj.period != 0;
+    const runtime::Tick max_ticks = periodic ? periodic_max_ticks_ : golden_->max_ticks;
+    const runtime::Tick len = periodic ? 0 : golden_->run.length;
+    static const std::vector<runtime::Snapshot> kNoBoundary;
+    const auto& boundary = periodic ? kNoBoundary : golden_->boundary;
+    const std::size_t signal_count = periodic ? 0 : golden_->run.trace.signal_count();
     const std::size_t W = count;
     const bool perm = mode_ == Mode::kPermeability;
 
-    state_.reset(runtime::SnapshotLayout::of(boundary[0]), W);
+    state_.reset(runtime::SnapshotLayout::of(periodic ? start_ : boundary[0]), W);
     runtime::BatchBackend* backend = sim_->batch_backend();
     if (!backend || !backend->begin(state_)) {
         if (!fallback_) fallback_ = std::make_unique<runtime::ScalarLaneBackend>(*sim_);
@@ -125,6 +169,7 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count) {
     stats_.record_batch_width(W);
 
     lanes_.assign(W, Lane{});
+    schedules_.resize(W);
     mismatch_.assign(W, 0);
     if (perm) {
         first_diff_.assign(signal_count * W, runtime::kInvalidTick);
@@ -135,31 +180,43 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count) {
     // once per signal per tick.
     std::vector<const std::uint32_t*> gsig(signal_count);
     for (std::size_t s = 0; s < signal_count; ++s) {
-        gsig[s] = gtrace.series(model::SignalId{static_cast<std::uint32_t>(s)}).data();
+        gsig[s] = golden_->run.trace.series(model::SignalId{static_cast<std::uint32_t>(s)})
+                      .data();
     }
 
     std::size_t next = 0;
-    runtime::Tick t = batch[0].inj.at;
+    runtime::Tick t = batch[0].fork_tick();
     while (state_.live() > 0 || next < W) {
-        if (state_.live() == 0) t = batch[next].inj.at;  // jump over dead span
-        while (next < W && batch[next].inj.at <= t) {
+        if (state_.live() == 0) t = batch[next].fork_tick();  // jump over dead span
+        while (next < W && batch[next].fork_tick() <= t) {
             const Pending& p = batch[next];
-            const std::size_t lane = state_.activate(boundary[p.inj.at]);
-            state_.set_launch(lane, to_flip(p.inj));
-            lanes_[lane] = Lane{p.ticket, p.inj.at, p.seal};
+            const std::size_t lane = state_.activate(periodic ? start_ : boundary[p.inj.at]);
+            lanes_[lane] = Lane{p.ticket, p.fork_tick(), p.inj.at, p.seal};
+            Schedule& sch = schedules_[lane];
+            sch.next = p.inj.at;
+            sch.period = p.inj.period;
+            sch.width = p.width;
+            sch.flip = to_flip(p.inj);
+            sch.rng.reseed(p.seed);
+            if (!periodic) launch(lane, t);  // one-shot lanes fork at their flip
             if (perm) {
                 for (std::size_t s = 0; s < signal_count; ++s) {
                     first_diff_[s * W + lane] = runtime::kInvalidTick;
                 }
             }
             ++stats_.lanes_launched;
-            if (p.inj.at == 0) {
+            if (p.fork_tick() == 0) {
                 ++stats_.full_runs;
             } else {
                 ++stats_.forked_runs;
                 stats_.ticks_saved += p.inj.at;
             }
             ++next;
+        }
+        if (periodic) {
+            for (std::size_t lane = 0; lane < state_.live(); ++lane) {
+                if (schedules_[lane].next == t) launch(lane, t);
+            }
         }
 
         backend->step(state_, t);
@@ -211,7 +268,7 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count) {
                 // outcome can no longer change. See SealRule.
                 retire_lane(lane, k, /*finished=*/false, /*pruned=*/false,
                             /*sealed=*/true);
-            } else if (k < len && mismatch_[lane] == 0 && k > lanes_[lane].t0 &&
+            } else if (!periodic && k < len && mismatch_[lane] == 0 && k > lanes_[lane].t0 &&
                        k % kPruneCheckPeriod == 0 &&
                        state_.lane_equals(lane, boundary[k])) {
                 // Converged: the lane's remaining evolution is the golden
@@ -250,13 +307,16 @@ bool BatchRunner::seal_decided(std::size_t lane) const noexcept {
 
 void BatchRunner::retire_lane(std::size_t lane, runtime::Tick end, bool finished,
                               bool pruned, bool sealed) {
-    const runtime::Tick len = golden_->run.length;
+    const bool perm = mode_ == Mode::kPermeability;
+    // Only one-shot lanes prune, seal or record first diffs, and those
+    // always run against a golden.
+    const runtime::Tick len = golden_ ? golden_->run.length : 0;
+    const std::size_t signal_count = perm ? golden_->run.trace.signal_count() : 0;
     const std::size_t W = state_.width();
-    const std::size_t signal_count = golden_->run.trace.signal_count();
-    const Lane meta = lanes_[lane];
+    const Lane& meta = lanes_[lane];
 
     BatchOutcome& out = outcomes_[meta.ticket];
-    out.fired = true;
+    out.fired = meta.at < end;  // the lane ran its first due tick
     out.pruned = pruned;
     stats_.ticks_executed += end - meta.t0;
     if (pruned) {
@@ -277,22 +337,25 @@ void BatchRunner::retire_lane(std::size_t lane, runtime::Tick end, bool finished
         out.finished = finished;
         ++stats_.lanes_retired_end;
     }
-    if (mode_ == Mode::kPermeability) {
+    if (perm) {
         out.first_diff.resize(signal_count);
         for (std::size_t s = 0; s < signal_count; ++s) {
             out.first_diff[s] = first_diff_[s * W + lane];
         }
     } else if (pruned) {
         out.monitors = golden_->boundary[len].monitors;
+        out.environment = golden_->boundary[len].environment;
     } else {
         state_.extract_monitors(lane, out.monitors);
+        state_.extract_environment(lane, out.environment);
     }
 
     const std::size_t last = state_.retire(lane);
     if (lane != last) {
         lanes_[lane] = lanes_[last];
+        schedules_[lane] = schedules_[last];
         mismatch_[lane] = mismatch_[last];
-        if (mode_ == Mode::kPermeability) {
+        if (perm) {
             fd_new_[lane] = fd_new_[last];
             for (std::size_t s = 0; s < signal_count; ++s) {
                 first_diff_[s * W + lane] = first_diff_[s * W + last];

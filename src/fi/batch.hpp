@@ -1,25 +1,29 @@
 // Batched injection execution (DESIGN.md §14) — the scheduler side of
 // the structure-of-arrays batch kernel.
 //
-// BatchRunner collects one-shot injection plans that share a golden run,
-// groups them by injection tick into width-W lockstep batches, forks
-// each as a lane from the golden boundary snapshot at its t0, and
-// advances all live lanes one tick per inner-loop pass through a
-// runtime::BatchBackend (the target's fused SoA kernel, or the
-// target-agnostic ScalarLaneBackend when none is installed). Lanes
-// retire on convergence-prune (full state equality with the golden
+// BatchRunner collects single-injection plans, groups them into width-W
+// lockstep batches and forks each as a lane: a one-shot plan from the
+// golden boundary snapshot at its injection tick, a periodic plan from
+// the start snapshot captured by begin_periodic(). All live lanes advance
+// one tick per inner-loop pass through a runtime::BatchBackend (the
+// target's fused SoA kernel, or the target-agnostic ScalarLaneBackend
+// when none is installed). Every lane carries its own flip schedule —
+// first tick, period and, for kRandomBit plans, a generator seeded like
+// the Injector's — and launches its flip on each due tick. One-shot
+// lanes retire on convergence-prune (full state equality with the golden
 // boundary — same rule as InjectionRunner), on environment finish, on
-// the tick budget, and — in permeability mode — at the golden end,
-// where the outcome can no longer change, or earlier when the
-// consumer's attribution seal rule is decided (see SealRule). Retired
-// lanes are compacted out of the hot loop.
+// the tick budget, and — in permeability mode — at the golden end, where
+// the outcome can no longer change, or earlier when the consumer's
+// attribution seal rule is decided (see SealRule). Periodic lanes keep
+// re-perturbing their state, so they never prune or seal: they retire on
+// environment finish or the tick budget. Retired lanes are compacted out
+// of the hot loop.
 //
 // Bit-identity contract: consumed in submission order, the outcomes
 // reproduce exactly what the scalar fast path (and hence the slow path)
 // would have produced — fired flags, per-signal first value-differences
 // over the common trace prefix (permeability), and monitor/EA detection
-// state at run end (coverage). Periodic plans (severe/recovery models)
-// are out of scope by design and stay on the scalar path.
+// and environment state at run end (coverage).
 #pragma once
 
 #include <cstdint>
@@ -30,6 +34,7 @@
 #include "fi/injection.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace epea::fi {
 
@@ -45,9 +50,11 @@ struct BatchOutcome {
     /// kInvalidTick = never. Recorded online over the common prefix —
     /// what Trace::first_difference(value-diffs-only) computes.
     std::vector<runtime::Tick> first_diff;
-    /// Coverage mode: the monitor snapshot section at run end (EA
-    /// detection state; golden end state for pruned/skipped runs).
+    /// Coverage mode: the monitor and environment snapshot sections at
+    /// run end (EA detection and plant state; golden end state for
+    /// pruned/skipped runs).
     std::vector<std::uint64_t> monitors;
+    std::vector<std::uint64_t> environment;
 };
 
 class BatchRunner {
@@ -87,8 +94,9 @@ public:
         /// attribution uses the common trace prefix — a lane alive at the
         /// golden end can no longer change its outcome and retires there.
         kPermeability,
-        /// Coverage experiments read fired + monitor state; EAs can still
-        /// fire after the golden end, so lanes run to environment finish.
+        /// Coverage experiments read fired + monitor and environment
+        /// state; EAs can still fire after the golden end, so lanes run
+        /// to environment finish. Periodic plans run only in this mode.
         kCoverage,
     };
 
@@ -132,44 +140,76 @@ public:
     /// (module, port) and reuse the handles for every case.
     std::uint32_t add_seal_rule(SealRule rule);
 
-    /// Queues one one-shot injection (plans with periods stay scalar by
-    /// design). Returns the ticket index for outcome(). `seal` is an
-    /// add_seal_rule() handle, or kNoSeal to run the lane to its normal
-    /// retirement.
-    std::size_t submit(const Injection& injection, std::uint32_t seal = kNoSeal);
+    /// Captures the state periodic lanes fork from — the simulator right
+    /// after reset() in its current configuration, armed monitors and
+    /// recoverers included — and the tick budget they run to. Returns
+    /// whether the target's fused kernel takes such lanes; when it does
+    /// not, callers keep periodic plans on the scalar path, since without
+    /// fork or prune a lane multiplexed through ScalarLaneBackend costs
+    /// more than a scalar run.
+    bool begin_periodic(runtime::Tick max_ticks);
+
+    /// Queues one injection. Returns the ticket index for outcome().
+    /// `seal` is an add_seal_rule() handle, or kNoSeal to run the lane to
+    /// its normal retirement; `seed` drives kRandomBit draws (memory-word
+    /// plans only) exactly as Injector::arm does. Periodic plans need
+    /// coverage mode and no seal.
+    std::size_t submit(const Injection& injection, std::uint32_t seal = kNoSeal,
+                       std::uint64_t seed = 1);
 
     /// Runs every queued injection to retirement. Outcomes become valid,
-    /// indexed by ticket in submission order.
+    /// indexed by ticket in submission order. One-shot plans need a
+    /// batch-ready golden, periodic plans a begin_periodic() since the
+    /// last clear().
     void flush();
 
     [[nodiscard]] const BatchOutcome& outcome(std::size_t ticket) const {
         return outcomes_.at(ticket);
     }
-    /// Tickets handed out since the last clear().
-    [[nodiscard]] std::size_t submitted() const noexcept { return outcomes_.size(); }
 
-    /// Drops outcomes and tickets (start of a new case).
+    /// Drops outcomes, tickets and the periodic start (start of a new
+    /// case).
     void clear() {
         pending_.clear();
         outcomes_.clear();
+        periodic_max_ticks_ = 0;
     }
 
     [[nodiscard]] const FastPathStats& stats() const noexcept { return stats_; }
     [[nodiscard]] FastPathStats& stats() noexcept { return stats_; }
 
 private:
-    struct Lane {
-        std::size_t ticket = 0;
-        runtime::Tick t0 = 0;
-        std::uint32_t seal = kNoSeal;
-    };
     struct Pending {
         std::size_t ticket = 0;
         std::uint32_t seal = kNoSeal;
+        std::uint64_t seed = 1;
+        unsigned width = 0;  ///< memory word width (kRandomBit draws)
         Injection inj;
+
+        /// Tick the lane forks at: periodic lanes start from tick 0.
+        [[nodiscard]] runtime::Tick fork_tick() const noexcept {
+            return inj.period != 0 ? 0 : inj.at;
+        }
+    };
+    /// A live lane's metadata, read by the retirement scan every tick.
+    struct Lane {
+        std::size_t ticket = 0;
+        runtime::Tick t0 = 0;  ///< fork tick
+        runtime::Tick at = 0;  ///< first firing tick
+        std::uint32_t seal = kNoSeal;
+    };
+    /// A live lane's flip schedule, kept apart from Lane so the per-tick
+    /// scans stay within a few cache lines.
+    struct Schedule {
+        runtime::Tick next = 0;  ///< next firing tick (periodic lanes)
+        runtime::Tick period = 0;
+        unsigned width = 0;
+        runtime::BatchFlip flip;
+        util::Rng rng{};  ///< kRandomBit draws, seeded per run
     };
 
     void run_batch(const Pending* batch, std::size_t count);
+    void launch(std::size_t lane, runtime::Tick now);
     void retire_lane(std::size_t lane, runtime::Tick end, bool finished, bool pruned,
                      bool sealed = false);
     [[nodiscard]] bool seal_decided(std::size_t lane) const noexcept;
@@ -180,6 +220,8 @@ private:
     Mode mode_ = Mode::kPermeability;
     std::size_t width_ = 0;
     std::vector<SealRule> seal_rules_;
+    runtime::Snapshot start_;                 ///< periodic lanes fork from here
+    runtime::Tick periodic_max_ticks_ = 0;    ///< 0 = no begin_periodic() yet
     std::vector<Pending> pending_;
     std::vector<BatchOutcome> outcomes_;
     FastPathStats stats_;
@@ -188,6 +230,7 @@ private:
     std::unique_ptr<runtime::ScalarLaneBackend> fallback_;
     runtime::BatchState state_;
     std::vector<Lane> lanes_;
+    std::vector<Schedule> schedules_;
     std::vector<runtime::Tick> first_diff_;  ///< [signal * width + lane]
     std::vector<std::uint8_t> mismatch_;     ///< per-lane, reset each tick
     std::vector<std::uint8_t> fd_new_;       ///< lane recorded a first diff this tick

@@ -1,5 +1,7 @@
 #include "fi/case_runner.hpp"
 
+#include <algorithm>
+
 #include "fi/comparison.hpp"
 #include "runtime/snapshot.hpp"
 
@@ -68,35 +70,45 @@ std::uint32_t CaseRunner::add_seal_rule(BatchRunner::SealRule rule) {
 
 void CaseRunner::submit(std::vector<Injection> plan, std::uint64_t seed,
                         std::uint32_t seal) {
-    if (batched_) {
-        if (plan.size() != 1) {
-            throw std::invalid_argument("CaseRunner: batched cases take single-injection plans");
-        }
-        batch_.submit(plan.front(), seal);
-        return;
-    }
     queue_.push_back(Queued{std::move(plan), seed, seal});
 }
 
 void CaseRunner::flush(const Tally& tally) {
-    if (batched_) {
-        batch_.flush();
-        const std::size_t count = batch_.submitted();
-        for (std::size_t i = 0; i < count; ++i) {
-            const BatchOutcome& oc = batch_.outcome(i);
+    // Periodic plans ride lanes only in coverage mode and only through
+    // the target's fused kernel, judged in the configuration they run in.
+    const auto periodic = [](const Queued& q) {
+        return q.plan.size() == 1 && q.plan.front().period != 0;
+    };
+    const bool periodic_lanes = policy_.use_fastpath && policy_.use_batch &&
+                                mode_ == Mode::kCoverage &&
+                                std::any_of(queue_.begin(), queue_.end(), periodic) &&
+                                batch_.begin_periodic(max_ticks_);
+
+    // Each run's batch ticket, or kScalar for the scalar path.
+    constexpr std::size_t kScalar = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> tickets(queue_.size(), kScalar);
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        const Queued& q = queue_[i];
+        if (q.plan.size() == 1 && (periodic(q) ? periodic_lanes : batched_)) {
+            tickets[i] = batch_.submit(q.plan.front(), q.seal, q.seed);
+        }
+    }
+    batch_.flush();
+
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        if (tickets[i] != kScalar) {
+            const BatchOutcome& oc = batch_.outcome(tickets[i]);
             if (mode_ == Mode::kCoverage) {
                 // The simulator's monitor order is the snapshot section's
                 // stream order.
-                runtime::StateReader reader(oc.monitors);
-                for (runtime::SignalMonitor* m : sim_->monitors()) m->restore_state(reader);
+                runtime::StateReader monitors(oc.monitors);
+                for (runtime::SignalMonitor* m : sim_->monitors()) m->restore_state(monitors);
+                runtime::StateReader environment(oc.environment);
+                sim_->environment().restore_state(environment);
             }
             tally(i, oc);
+            continue;
         }
-        batch_.clear();
-        return;
-    }
-
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
         StopScope::check();
         const std::uint64_t pruned_before = runner_.stats().pruned_runs;
         const runtime::RunResult rr =
@@ -115,6 +127,7 @@ void CaseRunner::flush(const Tally& tally) {
         tally(i, scalar_);
     }
     queue_.clear();
+    batch_.clear();
 }
 
 FastPathStats CaseRunner::stats() const {

@@ -31,7 +31,8 @@ struct ExecPolicy {
     /// Fast path (§9): fork from golden boundary snapshots and prune on
     /// re-convergence; off = the reference slow path.
     bool use_fastpath = true;
-    /// Batch kernel (§14) for one-shot plans; off = scalar fast path.
+    /// Batch kernel (§14) for single-injection plans; off = scalar fast
+    /// path.
     bool use_batch = true;
     /// Lanes per lockstep batch; 0 = BatchRunner::kAutoWidth.
     std::size_t batch_width = 0;
@@ -67,9 +68,9 @@ public:
     using Mode = BatchRunner::Mode;
     /// Called with (submission index, outcome) for every run of a flush,
     /// in submission order. Permeability mode fills first_diff; in
-    /// coverage mode the simulator's monitors hold the run's end state
-    /// during the call (batched outcomes are restored into them), and a
-    /// scalar run leaves the whole system there, plant included.
+    /// coverage mode the simulator's monitors and environment hold the
+    /// run's end state during the call (batched outcomes are restored
+    /// into them), and a scalar run leaves the whole system there.
     using Tally = std::function<void(std::size_t, const BatchOutcome&)>;
 
     /// The injector must already be installed on `sim`.
@@ -88,10 +89,16 @@ public:
                                                                std::size_t case_index,
                                                                runtime::Tick max_ticks);
 
-    /// Starts a case and picks its dispatch: the batch kernel when the
-    /// policy allows and `golden` is batch-ready, else the scalar path,
-    /// which is the slow path without a snapshot golden (periodic plans
-    /// pass null). Permeability mode needs a golden.
+    /// Starts a case and picks the dispatch of its single-injection
+    /// one-shot plans: the batch kernel when the policy allows and
+    /// `golden` is batch-ready, else the scalar path, which is the slow
+    /// path without a snapshot golden. Periodic plans need no golden
+    /// (their drivers pass null): with the batch policy, a coverage-mode
+    /// flush forks them as lanes from one start snapshot taken after
+    /// sim.reset() in the configuration of the flush, and they stay
+    /// scalar when the target's fused kernel declines that configuration
+    /// (armed recoverers, no fused kernel). Multi-injection plans always
+    /// run scalar. Permeability mode needs a golden.
     void begin_case(std::shared_ptr<const GoldenCaseData> golden, runtime::Tick max_ticks);
 
     /// Registers a batch seal rule; handles stay valid for every case.
@@ -99,7 +106,7 @@ public:
     /// rule's signals.
     std::uint32_t add_seal_rule(BatchRunner::SealRule rule);
 
-    /// Queues one run. A batched case takes single one-shot injections.
+    /// Queues one run; `seed` drives kRandomBit draws.
     void submit(std::vector<Injection> plan, std::uint64_t seed = 1,
                 std::uint32_t seal = BatchRunner::kNoSeal);
 

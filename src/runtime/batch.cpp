@@ -120,6 +120,11 @@ void BatchState::extract_monitors(std::size_t lane, std::vector<std::uint64_t>& 
     gather_column(monitors_, layout_.monitors, width_, lane, out);
 }
 
+void BatchState::extract_environment(std::size_t lane,
+                                     std::vector<std::uint64_t>& out) const {
+    gather_column(environment_, layout_.environment, width_, lane, out);
+}
+
 bool ScalarLaneBackend::begin(BatchState&) { return sim_->snapshot_supported(); }
 
 void ScalarLaneBackend::step(BatchState& state, Tick now) {

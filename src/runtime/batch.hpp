@@ -152,6 +152,9 @@ public:
     /// Copies one lane's monitor section into `out` (detection state of
     /// a retired coverage lane).
     void extract_monitors(std::size_t lane, std::vector<std::uint64_t>& out) const;
+    /// Copies one lane's environment section into `out` (plant state of
+    /// a retired coverage lane).
+    void extract_environment(std::size_t lane, std::vector<std::uint64_t>& out) const;
 
 private:
     SnapshotLayout layout_;

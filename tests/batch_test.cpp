@@ -1,15 +1,20 @@
 // BatchRunner lane-lifecycle unit tests (DESIGN.md §14): retirement by
 // convergence-prune, by the golden end, and by attribution seal; skips
 // for injections at/after the golden end; width independence down to a
-// single lane; and outcome equivalence against the scalar slow path.
+// single lane; outcome equivalence against the scalar slow path, for
+// one-shot lanes and for periodic lanes with their own flip schedules.
 // Campaign-scale batch-vs-scalar-vs-slow proofs live in
 // fastpath_equivalence_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <vector>
 
+#include "exp/arrestment_experiments.hpp"
 #include "fi/batch.hpp"
+#include "fi/case_runner.hpp"
 #include "fi/comparison.hpp"
 #include "fi/fastpath.hpp"
 #include "fi/injection.hpp"
@@ -240,19 +245,117 @@ TEST(BatchRunner, SealedLanesRetireEarlyWithExactAttribution) {
     EXPECT_LE(ablation.stats().ticks_executed, plain.stats().ticks_executed);
 }
 
-TEST(BatchRunner, PeriodicAndRandomBitPlansAreRejected) {
+/// Scalar reference for a coverage run: what Injector + Simulator::run
+/// leave behind.
+struct CoverageRef {
+    bool fired = false;
+    runtime::Tick end_tick = 0;
+    bool finished = false;
+    std::vector<std::uint64_t> monitors;
+    std::vector<std::uint64_t> environment;
+};
+
+TEST(BatchRunner, PeriodicLanesMatchInjectorRuns) {
     BatchFixture fx;
-    fi::BatchRunner batch = fx.make_runner();
+    runtime::Simulator& sim = fx.sys.sim();
+    ea::EaBank bank = exp::make_calibrated_bank(fx.sys.system(), {fx.golden->run.trace});
+    bank.arm(sim);
+
+    // Severe-model plans over a spread of words (random bit per firing,
+    // per-run seeds), one fixed-bit plan, and one whose first firing
+    // falls after the fault-free run has finished, so it never fires.
+    const runtime::Tick len = fx.golden->run.length;
+    std::vector<fi::Injection> plans;
+    for (std::size_t w = 0; w < sim.memory().word_count(); w += 5) {
+        plans.push_back(fi::Injection::into_memory(w, fi::kRandomBit, 10, 20));
+    }
+    plans.push_back(fi::Injection::into_memory(3, 0, 5, 20));
+    plans.push_back(fi::Injection::into_memory(4, fi::kRandomBit, len + 50, 20));
+    const auto seed = [](std::size_t i) { return 1000 + static_cast<std::uint64_t>(i); };
+
+    std::vector<CoverageRef> refs;
+    runtime::Snapshot end_state;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        fx.injector.arm({plans[i]}, seed(i));
+        sim.reset();
+        const runtime::RunResult rr = sim.run(target::kMaxRunTicks);
+        sim.capture_snapshot(end_state);
+        refs.push_back(CoverageRef{fx.injector.fired_count() != 0, rr.ticks, rr.env_finished,
+                                   end_state.monitors, end_state.environment});
+    }
+    fx.injector.disarm();
+    ASSERT_FALSE(refs.back().fired);
+    // The flips matter: some runs end in a plant state the fault-free
+    // run does not reach.
+    const auto& golden_end = fx.golden->boundary[len].environment;
+    EXPECT_TRUE(std::any_of(refs.begin(), refs.end(), [&](const CoverageRef& r) {
+        return r.environment != golden_end;
+    }));
+
+    for (const std::size_t width : {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
+        fi::BatchRunner batch(sim);
+        batch.set_mode(fi::BatchRunner::Mode::kCoverage);
+        batch.set_width(width);
+        // The fused kernel takes lanes with armed EAs.
+        ASSERT_TRUE(batch.begin_periodic(target::kMaxRunTicks));
+        std::vector<std::size_t> tickets;
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+            tickets.push_back(batch.submit(plans[i], fi::BatchRunner::kNoSeal, seed(i)));
+        }
+        batch.flush();
+
+        std::uint64_t ticks = 0;
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+            const fi::BatchOutcome& oc = batch.outcome(tickets[i]);
+            const CoverageRef& ref = refs[i];
+            EXPECT_EQ(oc.fired, ref.fired) << "width " << width << " plan " << i;
+            EXPECT_EQ(oc.end_tick, ref.end_tick) << "width " << width << " plan " << i;
+            EXPECT_EQ(oc.finished, ref.finished) << "width " << width << " plan " << i;
+            EXPECT_FALSE(oc.pruned) << "width " << width << " plan " << i;
+            EXPECT_EQ(oc.monitors, ref.monitors) << "width " << width << " plan " << i;
+            EXPECT_EQ(oc.environment, ref.environment) << "width " << width << " plan " << i;
+            ticks += ref.end_tick;
+        }
+        // Periodic lanes fork at tick 0, never prune or seal, and simulate
+        // exactly the ticks the scalar runs do.
+        const fi::FastPathStats& st = batch.stats();
+        EXPECT_EQ(st.lanes_launched, plans.size());
+        EXPECT_EQ(st.lanes_retired_end, plans.size());
+        EXPECT_EQ(st.full_runs, plans.size());
+        EXPECT_EQ(st.ticks_executed, ticks);
+    }
+    sim.clear_monitors();
+}
+
+TEST(BatchRunner, PeriodicPlanMisuseIsRejected) {
+    BatchFixture fx;
+    const fi::Injection periodic = fi::Injection::into_memory(0, fi::kRandomBit, 10, 20);
     const model::SignalId sid = fx.sys.system().all_signals().front();
-    fi::Injection periodic = fi::Injection::into_signal(sid, 0, 10);
-    periodic.period = 20;
-    EXPECT_THROW((void)batch.submit(periodic), std::invalid_argument);
-    EXPECT_THROW(
-        (void)batch.submit(fi::Injection::into_signal(sid, fi::kRandomBit, 10)),
-        std::invalid_argument);
-    EXPECT_THROW((void)batch.submit(fi::Injection::into_signal(sid, 0, 10),
-                                    /*seal=*/123),
+
+    // Re-flips defeat permeability's common-prefix attribution and seals.
+    fi::BatchRunner perm = fx.make_runner();
+    EXPECT_THROW((void)perm.submit(periodic), std::invalid_argument);
+    fi::BatchRunner cov = fx.make_runner();
+    cov.set_mode(fi::BatchRunner::Mode::kCoverage);
+    const std::uint32_t seal = cov.add_seal_rule({});
+    EXPECT_THROW((void)cov.submit(periodic, seal), std::invalid_argument);
+    EXPECT_THROW((void)cov.submit(fi::Injection::into_signal(sid, 0, 10), /*seal=*/123),
                  std::invalid_argument);
+    EXPECT_THROW((void)cov.submit(fi::Injection::into_signal(sid, fi::kRandomBit, 10)),
+                 std::invalid_argument);
+
+    // No start snapshot to fork from before begin_periodic().
+    (void)cov.submit(periodic);
+    EXPECT_THROW(cov.flush(), std::runtime_error);
+
+    // A raised stop flag cancels a periodic flush before any lane runs.
+    cov.clear();
+    ASSERT_TRUE(cov.begin_periodic(target::kMaxRunTicks));
+    (void)cov.submit(periodic, fi::BatchRunner::kNoSeal, 7);
+    const std::atomic<bool> stop{true};
+    const fi::StopScope scope(stop);
+    EXPECT_THROW(cov.flush(), fi::RunCancelled);
+    EXPECT_EQ(cov.stats().lanes_launched, 0U);
 }
 
 }  // namespace

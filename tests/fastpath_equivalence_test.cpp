@@ -134,49 +134,59 @@ TEST(FastpathEquivalence, InputCoverageBitIdentical) {
 
 TEST(FastpathEquivalence, SevereCoverageBitIdentical) {
     target::ArrestmentSystem sys;
-    fi::FastPathStats fast_stats;
-    fi::FastPathStats slow_stats;
 
-    // The batch flag is on for the fast arm: periodic severe plans must
-    // still route scalar by design (no lanes launched).
-    exp::CampaignOptions fast_opt = tiny_campaign(true, &fast_stats, /*batch=*/true);
-    fast_opt.case_count = 1;
-    exp::CampaignOptions slow_opt = tiny_campaign(false, &slow_stats);
-    slow_opt.case_count = 1;
+    // Three arms: periodic batch lanes, the scalar path with the batch
+    // kernel off, and the reference slow path (--no-fastpath).
+    struct Arm {
+        bool fastpath;
+        bool batch;
+        fi::FastPathStats stats;
+        exp::SevereCoverageResult result;
+    };
+    std::vector<Arm> arms = {{true, true, {}, {}}, {true, false, {}, {}}, {false, true, {}, {}}};
+    for (Arm& arm : arms) {
+        exp::CampaignOptions opt = tiny_campaign(arm.fastpath, &arm.stats, arm.batch);
+        opt.case_count = 1;
+        arm.result = exp::severe_coverage_experiment(sys, opt, paper_subsets());
+    }
 
-    const exp::SevereCoverageResult fast =
-        exp::severe_coverage_experiment(sys, fast_opt, paper_subsets());
-    const exp::SevereCoverageResult slow =
-        exp::severe_coverage_experiment(sys, slow_opt, paper_subsets());
-
-    EXPECT_EQ(fast.runs, slow.runs);
-    EXPECT_EQ(fast.failures, slow.failures);
-    ASSERT_EQ(fast.sets.size(), slow.sets.size());
-    for (std::size_t s = 0; s < fast.sets.size(); ++s) {
-        for (std::size_t r = 0; r < 3; ++r) {
-            for (std::size_t k = 0; k < 3; ++k) {
-                EXPECT_EQ(fast.sets[s].cells[r][k].n, slow.sets[s].cells[r][k].n);
-                EXPECT_EQ(fast.sets[s].cells[r][k].detected,
-                          slow.sets[s].cells[r][k].detected);
+    const exp::SevereCoverageResult& ref = arms.back().result;
+    for (const Arm& arm : arms) {
+        SCOPED_TRACE(testing::Message() << "fastpath " << arm.fastpath << " batch " << arm.batch);
+        EXPECT_EQ(arm.result.runs, ref.runs);
+        EXPECT_EQ(arm.result.failures, ref.failures);
+        ASSERT_EQ(arm.result.sets.size(), ref.sets.size());
+        for (std::size_t s = 0; s < ref.sets.size(); ++s) {
+            for (std::size_t r = 0; r < 3; ++r) {
+                for (std::size_t k = 0; k < 3; ++k) {
+                    EXPECT_EQ(arm.result.sets[s].cells[r][k].n, ref.sets[s].cells[r][k].n);
+                    EXPECT_EQ(arm.result.sets[s].cells[r][k].detected,
+                              ref.sets[s].cells[r][k].detected);
+                }
             }
         }
+        // Every arm simulates the same ticks: periodic runs neither fork
+        // nor prune, batched or not.
+        EXPECT_EQ(arm.stats.ticks_executed, arms.back().stats.ticks_executed);
+        EXPECT_EQ(arm.stats.forked_runs, 0U);
+        EXPECT_EQ(arm.stats.pruned_runs, 0U);
+        // Only the golden trace for calibration comes through the cache.
+        EXPECT_EQ(arm.stats.cache_misses, 1U);
     }
-    // Periodic plans stay on the slow path by design, but the golden
-    // trace for calibration comes through the cache.
-    EXPECT_EQ(fast_stats.forked_runs, 0U);
-    EXPECT_EQ(fast_stats.pruned_runs, 0U);
-    EXPECT_EQ(fast_stats.lanes_launched, 0U);
-    EXPECT_EQ(fast_stats.cache_misses, 1U);
+    // The batch arm runs every severe run as a lane; the others none.
+    EXPECT_EQ(arms[0].stats.lanes_launched, arms[0].result.runs);
+    EXPECT_EQ(arms[1].stats.lanes_launched, 0U);
+    EXPECT_EQ(arms[2].stats.lanes_launched, 0U);
 }
 
 TEST(FastpathEquivalence, RecoveryBitIdentical) {
     target::ArrestmentSystem sys;
     fi::FastPathStats fast_stats;
+    fi::FastPathStats slow_stats;
 
-    // Batch flag on: periodic recovery plans must still route scalar.
     exp::CampaignOptions fast_opt = tiny_campaign(true, &fast_stats, /*batch=*/true);
     fast_opt.case_count = 1;
-    exp::CampaignOptions slow_opt = tiny_campaign(false, nullptr);
+    exp::CampaignOptions slow_opt = tiny_campaign(false, &slow_stats);
     slow_opt.case_count = 1;
 
     const exp::RecoveryResult fast =
@@ -188,9 +198,12 @@ TEST(FastpathEquivalence, RecoveryBitIdentical) {
     EXPECT_EQ(fast.failures_baseline, slow.failures_baseline);
     EXPECT_EQ(fast.failures_with_erm, slow.failures_with_erm);
     EXPECT_EQ(fast.repairs, slow.repairs);
-    EXPECT_EQ(fast_stats.forked_runs, 0U);  // periodic: slow path
-    EXPECT_EQ(fast_stats.lanes_launched, 0U);
+    EXPECT_EQ(fast_stats.forked_runs, 0U);  // periodic: no golden to fork from
+    // The detection-only half rides batch lanes; the fused kernel declines
+    // armed recoverers, so the ERM half stays scalar.
+    EXPECT_EQ(fast_stats.lanes_launched, fast.runs);
     EXPECT_EQ(fast_stats.runs(), fast.runs * 2);
+    EXPECT_EQ(fast_stats.ticks_executed, slow_stats.ticks_executed);
 }
 
 /// One campaign per (kind, fastpath, batch) in its own directory;
@@ -261,34 +274,42 @@ TEST(FastpathEquivalence, CampaignExecutorMergedResultsBitIdentical) {
 TEST(FastpathEquivalence, SevereAndRecoveryCampaignsBitIdentical) {
     TempDir tmp("campaign_sr");
 
-    const auto fast_sev = run_campaign((tmp.path / "fast-sev").string(),
-                                       campaign::CampaignKind::kSevere, true);
     const auto slow_sev = run_campaign((tmp.path / "slow-sev").string(),
                                        campaign::CampaignKind::kSevere, false);
-    const exp::SevereCoverageResult fs = fast_sev.merged_severe();
     const exp::SevereCoverageResult ss = slow_sev.merged_severe();
-    EXPECT_EQ(fs.runs, ss.runs);
-    EXPECT_EQ(fs.failures, ss.failures);
-    ASSERT_EQ(fs.sets.size(), ss.sets.size());
-    for (std::size_t s = 0; s < fs.sets.size(); ++s) {
-        for (std::size_t r = 0; r < 3; ++r) {
-            for (std::size_t k = 0; k < 3; ++k) {
-                EXPECT_EQ(fs.sets[s].cells[r][k].detected,
-                          ss.sets[s].cells[r][k].detected);
+    for (const bool batch : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "batch " << batch);
+        const auto fast_sev =
+            run_campaign((tmp.path / ("fast-sev-" + std::to_string(batch))).string(),
+                         campaign::CampaignKind::kSevere, true, batch);
+        const exp::SevereCoverageResult fs = fast_sev.merged_severe();
+        EXPECT_EQ(fs.runs, ss.runs);
+        EXPECT_EQ(fs.failures, ss.failures);
+        ASSERT_EQ(fs.sets.size(), ss.sets.size());
+        for (std::size_t s = 0; s < fs.sets.size(); ++s) {
+            for (std::size_t r = 0; r < 3; ++r) {
+                for (std::size_t k = 0; k < 3; ++k) {
+                    EXPECT_EQ(fs.sets[s].cells[r][k].detected,
+                              ss.sets[s].cells[r][k].detected);
+                }
             }
         }
     }
 
-    const auto fast_rec = run_campaign((tmp.path / "fast-rec").string(),
-                                       campaign::CampaignKind::kRecovery, true);
     const auto slow_rec = run_campaign((tmp.path / "slow-rec").string(),
                                        campaign::CampaignKind::kRecovery, false);
-    const exp::RecoveryResult fr = fast_rec.merged_recovery();
     const exp::RecoveryResult sr = slow_rec.merged_recovery();
-    EXPECT_EQ(fr.runs, sr.runs);
-    EXPECT_EQ(fr.failures_baseline, sr.failures_baseline);
-    EXPECT_EQ(fr.failures_with_erm, sr.failures_with_erm);
-    EXPECT_EQ(fr.repairs, sr.repairs);
+    for (const bool batch : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "batch " << batch);
+        const auto fast_rec =
+            run_campaign((tmp.path / ("fast-rec-" + std::to_string(batch))).string(),
+                         campaign::CampaignKind::kRecovery, true, batch);
+        const exp::RecoveryResult fr = fast_rec.merged_recovery();
+        EXPECT_EQ(fr.runs, sr.runs);
+        EXPECT_EQ(fr.failures_baseline, sr.failures_baseline);
+        EXPECT_EQ(fr.failures_with_erm, sr.failures_with_erm);
+        EXPECT_EQ(fr.repairs, sr.repairs);
+    }
 }
 
 TEST(FastpathEquivalence, EvaluatorGroundTruthBitIdentical) {
